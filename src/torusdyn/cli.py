@@ -16,7 +16,8 @@ Sweeps parallelize over lattice sizes when TORUSDYN_THREADS is set above 1;
 outputs are assembled in sorted order after the join and are byte-identical
 at any thread count.
 
-Exit codes: 0 success, 2 validation error, 3 capacity exceeded.
+Exit codes: 0 success, 2 validation error (including a request whose result
+overflows a float), 3 capacity exceeded.
 """
 from __future__ import annotations
 
@@ -694,7 +695,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapacityExceededError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -115,30 +116,67 @@ class Partition:
     def atom_measures(self) -> tuple[Fraction, ...]:
         return tuple(a.area for a in self.atoms)
 
-    def atom_index(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """First-match atom index for float coordinate arrays.
+    @cached_property
+    def _atom_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Float edges per axis and the atom of every box between edges.
 
-        Membership uses the same half-open convention as the exact
-        rectangles, evaluated in float.  Points that float rounding places
-        in no atom (possible only within one ulp of a boundary) are swept
-        up by a second pass with slightly enlarged spans.
+        Each axis's edges are 0 and the atoms' boundaries on it.  The grid
+        is filled atom by atom from each atom's range of edge indices; a
+        validated partition covers every box exactly once.  A sentinel row
+        and column past an inf edge, where NaN sorts, hold -1.
         """
-        x1 = np.asarray(x1, dtype=float)
-        x2 = np.asarray(x2, dtype=float)
-        out = np.full(np.broadcast(x1, x2).shape, -1, dtype=np.int64)
-        for pad in (0.0, 1e-9):
-            for a, rect in enumerate(self.atoms):
-                if not np.any(out < 0):
-                    break
-                mask = (
-                    ((x1 - float(rect.x_start)) % 1.0 < float(rect.x_span) + pad)
-                    & ((x2 - float(rect.y_start)) % 1.0 < float(rect.y_span) + pad)
-                    & (out < 0)
-                )
-                out[mask] = a
-            if not np.any(out < 0):
-                return out
-        raise ValueError("some points fell outside every atom")
+        arcs = (
+            [(rect.x_start, rect.x_end, rect.x_span) for rect in self.atoms],
+            [(rect.y_start, rect.y_end, rect.y_span) for rect in self.atoms],
+        )
+        edges = [
+            sorted({Fraction(0)}.union(*({s, e} for s, e, w in axis if w != 1)))
+            for axis in arcs
+        ]
+        grid = np.full((len(edges[0]) + 1, len(edges[1]) + 1), -1, dtype=np.int64)
+        for a in range(len(self.atoms)):
+            boxes = []
+            for axis, axis_edges in zip(arcs, edges):
+                start, end, span = axis[a]
+                count = len(axis_edges)
+                if span == 1:
+                    boxes.append(np.arange(count))
+                    continue
+                lo, hi = axis_edges.index(start), axis_edges.index(end)
+                boxes.append(np.arange(lo, hi if hi > lo else hi + count) % count)
+            grid[np.ix_(*boxes)] = a
+        return _floats_rounded_up(edges[0]), _floats_rounded_up(edges[1]), grid
+
+    def atom_index(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """Atom index for float coordinate arrays, read mod 1.
+
+        Membership is exact under the half-open convention of the
+        rectangles: one sorted lookup per axis into the atom edges, each
+        rounded up to the nearest float, then a lookup in the small atom
+        grid.  Because membership is exact, points within an ulp of a
+        boundary need no padded second pass.  Raises ValueError for
+        non-finite coordinates.
+        """
+        ex, ey, grid = self._atom_grid
+        ix = np.searchsorted(ex, np.asarray(x1, dtype=float) % 1.0, side="right") - 1
+        iy = np.searchsorted(ey, np.asarray(x2, dtype=float) % 1.0, side="right") - 1
+        out = grid[ix, iy]
+        if out.size and out.min() < 0:
+            raise ValueError("some points have non-finite coordinates")
+        return out
+
+
+def _floats_rounded_up(edges: list[Fraction]) -> np.ndarray:
+    """Smallest float >= each rational edge, then an inf sentinel.
+
+    With edges rounded up, `x >= float_edge` holds for a float x exactly
+    when `x >= edge` holds in rational arithmetic.
+    """
+    up = []
+    for e in edges:
+        f = float(e)
+        up.append(float(np.nextafter(f, math.inf)) if Fraction(f) < e else f)
+    return np.array(up + [math.inf])
 
 
 def partition_halves_x1(name: str = "halves-x1") -> Partition:
@@ -305,19 +343,22 @@ def cell_weights(partition: Partition, cfg: LatticeConfig) -> CellWeightTable:
     aligned = is_aligned(partition, size)
     atom_map = None
     if aligned:
-        atom_map = np.empty(cfg.points, dtype=np.uint8)
-        for p1 in range(size):
-            for p2 in range(size):
-                hits = [
-                    a
-                    for a in range(d)
-                    if wx_frac[a][p1] == 1 and wy_frac[a][p2] == 1
-                ]
-                if len(hits) != 1:
-                    raise AssertionError(
-                        f"aligned cell ({p1},{p2}) lies in {len(hits)} atoms"
-                    )
-                atom_map[p1 * size + p2] = hits[0]
+        # Each atom covers the product of its full-weight rows and columns;
+        # every cell must be covered exactly once.
+        atom_map = np.empty((size, size), dtype=np.uint8)
+        hits = np.zeros((size, size), dtype=np.uint8)
+        for a in range(d):
+            rows = np.array([v == 1 for v in wx_frac[a]])
+            cols = np.array([v == 1 for v in wy_frac[a]])
+            atom_map[np.ix_(rows, cols)] = a
+            hits[np.ix_(rows, cols)] += 1
+        bad = np.flatnonzero(hits != 1)
+        if bad.size:
+            p1, p2 = divmod(int(bad[0]), size)
+            raise AssertionError(
+                f"aligned cell ({p1},{p2}) lies in {hits[p1, p2]} atoms"
+            )
+        atom_map = atom_map.ravel()
     else:
         for p1 in (0, size // 2, size - 1):
             for p2 in (0, size // 2, size - 1):
@@ -770,16 +811,24 @@ def entropy_components(
 
 
 def _probs_on_union(a: ProbabilityTable, b: ProbabilityTable) -> tuple[np.ndarray, np.ndarray]:
-    """Both tables' probabilities expanded onto their union support."""
-    union = np.union1d(a.codes, b.codes)
-    out = []
-    for t in (a, b):
-        p = np.zeros(union.size)
-        idx = np.searchsorted(t.codes, union)
-        hit = (idx < t.codes.size) & (t.codes[np.minimum(idx, t.codes.size - 1)] == union)
-        p[hit] = t.probs[idx[hit]]
-        out.append(p)
-    return out[0], out[1]
+    """Both tables' probabilities expanded onto their sorted union support.
+
+    Both code arrays are strictly increasing, so the union positions come
+    from a linear merge: a code of b sits after the codes of a below it and
+    the b-only codes before it; a code of a sits after its own predecessors
+    and the b-only codes below it.
+    """
+    below = np.searchsorted(a.codes, b.codes)
+    shared = a.codes[np.minimum(below, a.codes.size - 1)] == b.codes
+    b_only = ~shared
+    b_pos = below + np.cumsum(b_only) - b_only
+    a_pos = np.arange(a.codes.size) + np.searchsorted(b.codes[b_only], a.codes)
+    union_size = a.codes.size + b.codes.size - int(shared.sum())
+    pa = np.zeros(union_size)
+    pb = np.zeros(union_size)
+    pa[a_pos] = a.probs
+    pb[b_pos] = b.probs
+    return pa, pb
 
 
 def _fannes_eta(x: float) -> float:

@@ -294,3 +294,20 @@ def test_python_dash_m_entry():
     assert proc.returncode == 0
     assert "elliptic" in proc.stdout
     assert '"period": 4' in proc.stdout
+
+
+# --- float overflow -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--matrix", "2", "1", "1", "1", "--steps", "800"],
+    ["diameters", "--matrix", "2", "1", "1", "1", "--steps-max", "800"],
+])
+def test_float_overflow_is_validation_error(argv, capsys):
+    assert run(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("OverflowError: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err

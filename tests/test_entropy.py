@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from torusdyn.entropy import (
+    _probs_on_union,
     AlignmentRequiredError,
     DimensionMismatchError,
     Partition,
@@ -36,7 +37,12 @@ from torusdyn.lattice import CapacityExceededError, LatticeConfig
 from torusdyn.maps import cat_map, classify, quarter_turn, unit_shear
 from torusdyn.rectangles import TorusRectangle
 
-from conftest import lattice_word_sampler_mc
+from conftest import (
+    atom_of_cell_bruteforce,
+    atom_of_point_exact,
+    lattice_word_sampler_mc,
+    probs_on_union_oracle,
+)
 
 CAT = cat_map()
 SHEAR = unit_shear()
@@ -46,6 +52,28 @@ XI = classify(CAT).xi
 
 def _rect(xs, xw, ys, yw):
     return TorusRectangle(Fraction(xs), Fraction(xw), Fraction(ys), Fraction(yw))
+
+
+def _presets():
+    return [
+        partition_quadrants(),
+        partition_halves_x1(),
+        partition_halves_x2(),
+        partition_bands_x2(3),
+        partition_bands_x2(5),
+    ]
+
+
+def _wrapping_thirds():
+    """Four atoms whose arcs wrap the seam on both axes, at non-dyadic edges."""
+    return Partition(
+        tuple(
+            _rect(xs, "1/2", ys, "1/2")
+            for xs in ("1/3", "5/6")
+            for ys in ("1/5", "7/10")
+        ),
+        name="wrapping-thirds",
+    )
 
 
 # --- partitions ---------------------------------------------------------------
@@ -73,6 +101,42 @@ def test_atom_index_half_open_convention():
     idx = p.atom_index(np.array([0.0, 0.5, 0.0, 0.5, 0.499999]), np.array([0.0, 0.0, 0.5, 0.5, 0.0]))
     # x1-major ordering: atom = 2*(x1-half) + (x2-half)
     assert list(idx) == [0, 2, 1, 3, 0]
+
+
+def test_atom_index_at_non_dyadic_band_edges():
+    # float(1/3) < 1/3 and float(2/3) < 2/3: both points lie below the edge
+    p = partition_bands_x2(3)
+    assert p.atom_index(0.1, float(1 / 3)) == 0
+    assert p.atom_index(0.1, float(2 / 3)) == 1
+    assert p.atom_index(0.1, float(np.nextafter(1 / 3, 1))) == 1
+
+
+def _edge_neighbourhood(edges):
+    """Each edge as a float and its two float neighbours, inside [0, 1)."""
+    values = set()
+    for e in edges:
+        f = float(e)
+        values.update((np.nextafter(f, -1.0), f, np.nextafter(f, 2.0)))
+    return np.array(sorted(v % 1.0 for v in values))
+
+
+def test_atom_index_matches_exact_membership():
+    rng = np.random.default_rng(31)
+    for base in _presets() + [_wrapping_thirds()]:
+        variants = [base] + [snap_partition(base, size)[0] for size in (5, 8, 12, 100)]
+        for part in variants:
+            xs = _edge_neighbourhood(
+                [v for r in part.atoms for v in (r.x_start, r.x_start + r.x_span)]
+            )
+            ys = _edge_neighbourhood(
+                [v for r in part.atoms for v in (r.y_start, r.y_start + r.y_span)]
+            )
+            x1, x2 = np.meshgrid(xs, ys, indexing="ij")
+            x1 = np.concatenate([x1.ravel(), rng.random(200)])
+            x2 = np.concatenate([x2.ravel(), rng.random(200)])
+            got = part.atom_index(x1, x2)
+            want = [atom_of_point_exact(part, a, b) for a, b in zip(x1, x2)]
+            assert got.tolist() == want, part
 
 
 def test_alignment_detection():
@@ -111,6 +175,33 @@ def test_cell_weights_aligned_zero_one():
     assert w.aligned
     assert set(np.unique(w.x_weights)) <= {0.0, 1.0}
     assert np.array_equal(np.bincount(w.atom_of_cell), [16, 16, 16, 16])
+
+
+def test_cell_weights_atom_map_matches_bruteforce():
+    for base in _presets() + [_wrapping_thirds()]:
+        for size in (5, 8, 12, 33):
+            snapped, _ = snap_partition(base, size)
+            w = cell_weights(snapped, LatticeConfig(size))
+            assert w.aligned
+            assert w.atom_of_cell.dtype == np.uint8
+            assert np.array_equal(w.atom_of_cell, atom_of_cell_bruteforce(snapped, size))
+
+
+def test_cell_weights_aligned_cover_is_checked():
+    snapped, _ = snap_partition(partition_quadrants(), 8)
+    cfg = LatticeConfig(8)
+    # Bypass Partition validation: a missing atom leaves cells uncovered,
+    # a repeated one covers cells twice.  The first bad cell in row-major
+    # order is reported.
+    for atoms, message in (
+        (snapped.atoms[:1] + snapped.atoms[2:], r"aligned cell \(1,0\) lies in 0 atoms"),
+        (snapped.atoms + snapped.atoms[:1], r"aligned cell \(1,1\) lies in 2 atoms"),
+    ):
+        broken = object.__new__(Partition)
+        object.__setattr__(broken, "atoms", atoms)
+        object.__setattr__(broken, "name", "broken")
+        with pytest.raises(AssertionError, match=message):
+            cell_weights(broken, cfg)
 
 
 def test_cell_weights_unaligned_rows_sum_to_one():
@@ -325,6 +416,35 @@ def test_fannes_bound_random_tables():
         delta, bound = fannes_bound(a, b)
         assert abs(shannon_entropy(a) - shannon_entropy(b)) <= bound
         assert delta <= 2.0
+
+
+def _table(codes, length=20, alphabet=4):
+    codes = np.asarray(codes, dtype=np.int64)
+    probs = np.arange(1, codes.size + 1, dtype=float)
+    return ProbabilityTable.from_probs(codes, probs / probs.sum(), length, alphabet)
+
+
+def test_probs_on_union_matches_union1d_bitwise():
+    rng = np.random.default_rng(37)
+    big_a = np.unique(rng.integers(0, 1 << 22, 100_000))
+    big_b = np.unique(rng.integers(0, 1 << 22, 100_000))
+    cases = [
+        ([0, 2, 4], [1, 3, 5]),  # disjoint, interleaved
+        ([0, 1, 2], [10, 11]),  # disjoint, separated
+        ([3, 7, 9], [3, 7, 9]),  # identical
+        ([1, 4, 6, 8, 20], [4, 8]),  # nested
+        ([4, 8], [1, 4, 6, 8, 20]),
+        ([5], [5]),  # single code
+        ([5], [2]),
+        ([5], [1, 5, 9]),
+        (big_a, big_b),
+    ]
+    for codes_a, codes_b in cases:
+        a, b = _table(codes_a), _table(codes_b)
+        pa, pb = _probs_on_union(a, b)
+        qa, qb = probs_on_union_oracle(a, b)
+        assert pa.tobytes() == qa.tobytes()
+        assert pb.tobytes() == qb.tobytes()
 
 
 def test_fannes_bound_dimension_mismatch():
