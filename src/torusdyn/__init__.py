@@ -64,7 +64,6 @@ from .discretize import (
     discretize_aw,
     egorov_defect,
     kernel,
-    kernel_defect,
     kernel_many,
     localization_threshold,
     shadowing_threshold,
@@ -122,8 +121,8 @@ __all__ = [
     "DiagonalObservable", "LocalizationReport", "Observable",
     "ShadowingReport", "ThresholdUnmetError", "check_dynamical_localization",
     "check_orbit_shadowing", "dediscretize_aw", "dediscretize_many",
-    "discretize_aw", "egorov_defect", "kernel", "kernel_defect",
-    "kernel_many", "localization_threshold", "shadowing_threshold",
+    "discretize_aw", "egorov_defect", "kernel", "kernel_many",
+    "localization_threshold", "shadowing_threshold",
     # entropy
     "AlignmentRequiredError", "CellWeightTable", "DimensionMismatchError",
     "EntropyComparison", "KSEntropyReport", "Partition", "ProbabilityTable",

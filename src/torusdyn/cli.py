@@ -17,7 +17,7 @@ outputs are assembled in sorted order after the join and are byte-identical
 at any thread count.
 
 Exit codes: 0 success, 2 validation error (including a request whose result
-overflows a float), 3 capacity exceeded.
+overflows a float or an int64 lattice step), 3 capacity exceeded.
 """
 from __future__ import annotations
 
@@ -40,9 +40,8 @@ from .discretize import (
 )
 from .entropy import (
     Partition,
-    cell_weights,
     compare_entropy_production,
-    cs_entropy,
+    cs_entropies,
     partition_bands_x2,
     partition_halves_x1,
     partition_halves_x2,
@@ -610,18 +609,13 @@ def cmd_entropy(ns: argparse.Namespace, opts: list[Opt]) -> int:
         return EXIT_OK
     # mode=components: deterministic lattice-side decomposition per (N, n)
     def sweep(size: int) -> list[tuple]:
-        cfg = LatticeConfig(size)
         snapped, shift = snap_partition(partition, size)
-        weights = cell_weights(snapped, cfg)
-        out = []
-        s1 = cs_entropy(T, cfg, snapped, 1, capacity=ns.capacity, weights=weights)
-        for n in range(1, ns.n_max + 1):
-            total = s1 if n == 1 else cs_entropy(
-                T, cfg, snapped, n, capacity=ns.capacity, weights=weights
-            )
-            per_step = (total - s1) / (n - 1) if n > 1 else 0.0
-            out.append((n, size, total, s1, total - s1, per_step, shift))
-        return out
+        totals = cs_entropies(T, LatticeConfig(size), snapped, ns.n_max, capacity=ns.capacity)
+        s1 = totals[0]
+        return [
+            (n, size, total, s1, total - s1, (total - s1) / (n - 1) if n > 1 else 0.0, shift)
+            for n, total in enumerate(totals, 1)
+        ]
 
     per_size = _run_sweep(sorted(set(ns.sizes)), sweep)
     rows = [row for chunk in per_size for row in chunk]

@@ -43,6 +43,7 @@ from .maps import (
     classify,
     matrix_power_entries,
     scaling_function,
+    _step,
 )
 from .rectangles import TorusRectangle, cell_interval_pieces, pieces_overlap
 
@@ -56,7 +57,6 @@ __all__ = [
     "kernel",
     "kernel_many",
     "egorov_defect",
-    "kernel_defect",
     "localization_threshold",
     "shadowing_threshold",
     "LocalizationReport",
@@ -223,11 +223,7 @@ def kernel(T: ToralMatrix, cfg: LatticeConfig, n: int, x: TorusPoint, y: TorusPo
     p = round_to_lattice(x, cfg)
     q = round_to_lattice(y, cfg)
     m = matrix_power_mod(T, n, cfg.size)
-    hit = (
-        (m[0] * p.p1 + m[1] * p.p2) % cfg.size == q.p1
-        and (m[2] * p.p1 + m[3] * p.p2) % cfg.size == q.p2
-    )
-    return 1 if hit else 0
+    return 1 if _step(m, p.p1, p.p2, cfg.size) == (q.p1, q.p2) else 0
 
 
 def kernel_many(
@@ -239,14 +235,15 @@ def kernel_many(
     y1: np.ndarray,
     y2: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized kernel evaluation over paired coordinate arrays."""
+    """Vectorized kernel evaluation over paired coordinate arrays.
+
+    Raises OverflowError when the int64 lattice step could overflow
+    (N above about 2**31).
+    """
     size = cfg.size
     m = matrix_power_mod(T, n, size)
-    p1 = round_coordinates(x1, size)
-    p2 = round_coordinates(x2, size)
-    q1 = round_coordinates(y1, size)
-    q2 = round_coordinates(y2, size)
-    hit = ((m[0] * p1 + m[1] * p2) % size == q1) & ((m[2] * p1 + m[3] * p2) % size == q2)
+    u1, u2 = _step(m, round_coordinates(x1, size), round_coordinates(x2, size), size)
+    hit = (u1 == round_coordinates(y1, size)) & (u2 == round_coordinates(y2, size))
     return hit.astype(np.int64)
 
 
@@ -263,19 +260,6 @@ def _mesh_offset(grid: int, size: int) -> float:
     if grid % size == 0:
         return 0.0
     return 0.5
-
-
-def _orbit_cell_indices(
-    T: Optional[ToralMatrix], cfg: LatticeConfig, steps: int, p1: np.ndarray, p2: np.ndarray
-) -> np.ndarray:
-    """Flat indices of U**steps applied to integer lattice coordinates."""
-    size = cfg.size
-    if T is None:
-        return p1 * size + p2
-    m = matrix_power_mod(T, steps, size)
-    q1 = (m[0] * p1 + m[1] * p2) % size
-    q2 = (m[2] * p1 + m[3] * p2) % size
-    return q1 * size + q2
 
 
 def egorov_defect(
@@ -312,73 +296,11 @@ def egorov_defect(
         stop = min(start + rows_per_block, grid)
         x1 = axis[start:stop, None]
         x2 = axis[None, :]
-        cont = f((m_float[0] * x1 + m_float[1] * x2) % 1.0,
-                 (m_float[2] * x1 + m_float[3] * x2) % 1.0)
-        p1 = round_coordinates(x1, size)
-        p2 = round_coordinates(x2, size)
-        idx = ((m_mod[0] * p1 + m_mod[1] * p2) % size) * size + (
-            (m_mod[2] * p1 + m_mod[3] * p2) % size
-        )
+        cont = f(*_step(m_float, x1, x2, 1.0))
+        q1, q2 = _step(m_mod, round_coordinates(x1, size), round_coordinates(x2, size), size)
+        idx = q1 * size + q2
+        del q1, q2  # a block's coordinates need not outlive its cell indices
         diff = cont - table.entries[idx]
-        total += float(np.sum(np.abs(diff) ** 2))
-    return math.sqrt(total / (grid * grid))
-
-
-def kernel_defect(
-    T: ToralMatrix,
-    cfg: LatticeConfig,
-    f: Observable,
-    steps: int,
-    grid: int,
-    quadrature: int = 4,
-) -> float:
-    """Same defect via the kernel-average route, as an independent check.
-
-    The normalized y-integral of f against the squared correspondence
-    kernel collapses to the cell average of f at the lattice image of
-    round(x); this function evaluates that form with its own single-step
-    orbit walk and its own cell-average accumulation, sharing no table or
-    permutation machinery with `egorov_defect`.  The two implementations
-    agree to float reordering (about 1e-12 relative).
-    """
-    if grid < cfg.size:
-        raise ValueError(f"grid must be >= lattice size {cfg.size}, got {grid}")
-    if quadrature < 1:
-        raise ValueError(f"quadrature must be >= 1, got {quadrature}")
-    size = cfg.size
-    # Independent cell-average pass: accumulate sub-grid samples cell by cell.
-    if f.rectangles is not None:
-        averages = _indicator_entries(f.rectangles, cfg)
-    else:
-        q = quadrature
-        averages = np.zeros((size, size))
-        axis_cells = _cell_axis_coordinates(size, q)
-        for a in range(q):
-            xs = axis_cells[:, a]
-            block = np.zeros((size, size))
-            for b in range(q):
-                block += f(xs[:, None], axis_cells[None, :, b])
-            averages += block
-        averages /= q * q
-        averages = averages.ravel()
-    phase = _mesh_offset(grid, size)
-    axis = (np.arange(grid) + phase) / grid
-    m_float = tuple(float(v) for v in matrix_power_entries(T, steps))
-    # Single-step orbit walk of the rounded mesh, repeated |steps| times.
-    one = matrix_power_mod(T, 1 if steps >= 0 else -1, size)
-    total = 0.0
-    rows_per_block = max(1, _MESH_BLOCK // grid)
-    for start in range(0, grid, rows_per_block):
-        stop = min(start + rows_per_block, grid)
-        x1 = axis[start:stop, None]
-        x2 = axis[None, :]
-        cont = f((m_float[0] * x1 + m_float[1] * x2) % 1.0,
-                 (m_float[2] * x1 + m_float[3] * x2) % 1.0)
-        p1 = np.broadcast_to(round_coordinates(x1, size), cont.shape).copy()
-        p2 = np.broadcast_to(round_coordinates(x2, size), cont.shape).copy()
-        for _ in range(abs(steps)):
-            p1, p2 = (one[0] * p1 + one[1] * p2) % size, (one[2] * p1 + one[3] * p2) % size
-        diff = averages[p1 * size + p2] - cont
         total += float(np.sum(np.abs(diff) ** 2))
     return math.sqrt(total / (grid * grid))
 
@@ -483,8 +405,7 @@ def check_dynamical_localization(
     xs = rng.random((trials, 2))
     ys = rng.random((trials, 2))
     m_float = tuple(float(v) for v in matrix_power_entries(T, steps))
-    tx1 = (m_float[0] * xs[:, 0] + m_float[1] * xs[:, 1]) % 1.0
-    tx2 = (m_float[2] * xs[:, 0] + m_float[3] * xs[:, 1]) % 1.0
+    tx1, tx2 = _step(m_float, xs[:, 0], xs[:, 1], 1.0)
     far = torus_distance_arrays(tx1, tx2, ys[:, 0], ys[:, 1]) >= d0
     hits = kernel_many(T, cfg, steps, xs[:, 0], xs[:, 1], ys[:, 0], ys[:, 1]) == 1
     threshold = localization_threshold(data, steps, d0)
@@ -569,13 +490,12 @@ def check_orbit_shadowing(
     p1 = round_coordinates(cont1, size)
     p2 = round_coordinates(cont2, size)
     one = matrix_power_mod(T, 1, size)
-    t = T.entries
     max_distance = float(
         torus_distance_arrays(cont1, cont2, p1 / size, p2 / size).max()
     )
     for _ in range(steps):
-        cont1, cont2 = (t[0] * cont1 + t[1] * cont2) % 1.0, (t[2] * cont1 + t[3] * cont2) % 1.0
-        p1, p2 = (one[0] * p1 + one[1] * p2) % size, (one[2] * p1 + one[3] * p2) % size
+        cont1, cont2 = _step(T.entries, cont1, cont2, 1.0)
+        p1, p2 = _step(one, p1, p2, size)
         dist = float(torus_distance_arrays(cont1, cont2, p1 / size, p2 / size).max())
         max_distance = max(max_distance, dist)
     return ShadowingReport(

@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .lattice import DEFAULT_CAPACITY, CapacityExceededError, LatticeConfig, matrix_power_mod
-from .maps import Family, ToralMatrix, classify
+from .maps import Family, ToralMatrix, classify, _step
 from .rectangles import (
     TorusRectangle,
     cell_interval_pieces,
@@ -58,6 +58,7 @@ __all__ = [
     "ks_entropy_rate",
     "cs_probabilities",
     "cs_entropy",
+    "cs_entropies",
     "entropy_components",
     "EntropyComparison",
     "compare_entropy_production",
@@ -579,8 +580,7 @@ def _classical_atom_matrix(
     for k in range(length):
         out[:, k] = partition.atom_index(x1, x2)
         if T is not None and k + 1 < length:
-            t = T.entries
-            x1, x2 = (t[0] * x1 + t[1] * x2) % 1.0, (t[2] * x1 + t[3] * x2) % 1.0
+            x1, x2 = _step(T.entries, x1, x2, 1.0)
         elif T is None:
             break
     if T is None:
@@ -588,10 +588,28 @@ def _classical_atom_matrix(
     return out
 
 
-def _pack_codes(atoms: np.ndarray, alphabet: int) -> np.ndarray:
-    """Pack an (m, n) atom matrix into codes, column k at significance D**k."""
-    weights = alphabet ** np.arange(atoms.shape[1], dtype=np.int64)
-    return atoms.astype(np.int64) @ weights
+def _word_codes(symbol_steps, alphabet: int):
+    """The word counter: running packed codes of the words of each length.
+
+    Takes one array of symbols per step (step k's symbol of every orbit)
+    and adds symbol * alphabet**k to the codes in place, yielding the same
+    array after each step; after step k it holds the length-(k+1) words in
+    the module's packing convention.  Read it (e.g. with
+    `ProbabilityTable.from_counts`) before asking for the next length.
+    """
+    codes = None
+    significance = 1
+    # Hold no step array while suspended (hence no enumerate, whose cached
+    # tuple keeps the last one): at N = 2048 the lattice's symbols take
+    # 4 MB and their int64 digits 33 MB.
+    for symbols in symbol_steps:
+        if codes is None:
+            codes = symbols.astype(np.int64)
+        else:
+            significance *= alphabet
+            codes += symbols.astype(np.int64) * significance
+        del symbols
+        yield codes
 
 
 def classical_probabilities_mc(
@@ -609,9 +627,8 @@ def classical_probabilities_mc(
     """
     _check_word_space(length, len(partition))
     atoms = _classical_atom_matrix(T, partition, length, samples, seed)
-    return ProbabilityTable.from_counts(
-        _pack_codes(atoms, len(partition)), length, len(partition)
-    )
+    *_, codes = _word_codes(atoms.T, len(partition))
+    return ProbabilityTable.from_counts(codes, length, len(partition))
 
 
 @dataclass(frozen=True)
@@ -660,9 +677,7 @@ def ks_entropy_rate(
     atoms = _classical_atom_matrix(T, partition, n_max, samples, seed)
     entropies = [0.0]
     supports = []
-    codes = np.zeros(atoms.shape[0], dtype=np.int64)
-    for n in range(1, n_max + 1):
-        codes = codes + atoms[:, n - 1].astype(np.int64) * d ** (n - 1)
+    for n, codes in enumerate(_word_codes(atoms.T, d), 1):
         table = ProbabilityTable.from_counts(codes, n, d)
         entropies.append(shannon_entropy(table))
         supports.append(table.support_size)
@@ -693,8 +708,33 @@ def _lattice_positions(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
-def _advance(one: tuple[int, int, int, int], p1, p2, size: int):
-    return (one[0] * p1 + one[1] * p2) % size, (one[2] * p1 + one[3] * p2) % size
+def _orbit_atoms(T: Optional[ToralMatrix], weights: CellWeightTable, length: int):
+    """Atom of every lattice point's orbit cell at steps 0..length-1 (aligned)."""
+    size = weights.cfg.size
+    one = matrix_power_mod(T, 1, size) if T is not None else None
+    p1, p2 = _lattice_positions(weights.cfg)
+    for k in range(length):
+        yield weights.atom_of_cell[p1 * size + p2]
+        if one is not None and k + 1 < length:
+            p1, p2 = _step(one, p1, p2, size)
+
+
+def _checked_weights(
+    cfg: LatticeConfig,
+    partition: Partition,
+    capacity: int,
+    weights: Optional[CellWeightTable],
+) -> CellWeightTable:
+    """The partition's cell weights on cfg, refusing lattices above `capacity`."""
+    if cfg.points > capacity:
+        raise CapacityExceededError(
+            f"lattice with {cfg.points} points exceeds capacity {capacity}"
+        )
+    if weights is None:
+        return cell_weights(partition, cfg)
+    if weights.cfg != cfg:
+        raise ValueError("weight table belongs to a different lattice")
+    return weights
 
 
 def cs_probabilities(
@@ -720,25 +760,10 @@ def cs_probabilities(
     snap the partition to the lattice first for long words.
     """
     _check_word_space(length, len(partition))
-    if cfg.points > capacity:
-        raise CapacityExceededError(
-            f"lattice with {cfg.points} points exceeds capacity {capacity}"
-        )
-    if weights is None:
-        weights = cell_weights(partition, cfg)
-    elif weights.cfg != cfg:
-        raise ValueError("weight table belongs to a different lattice")
+    weights = _checked_weights(cfg, partition, capacity, weights)
     d = len(partition)
-    size = cfg.size
-    one = matrix_power_mod(T, 1, size) if T is not None else None
     if weights.aligned:
-        p1, p2 = _lattice_positions(cfg)
-        codes = np.zeros(cfg.points, dtype=np.int64)
-        atom_map = weights.atom_of_cell
-        for k in range(length):
-            codes += atom_map[p1 * size + p2].astype(np.int64) * d**k
-            if one is not None and k + 1 < length:
-                p1, p2 = _advance(one, p1, p2, size)
+        *_, codes = _word_codes(_orbit_atoms(T, weights, length), d)
         return ProbabilityTable.from_counts(codes, length, d)
     space = d**length
     if space > unaligned_cap:
@@ -747,6 +772,8 @@ def cs_probabilities(
             f"{unaligned_cap}; snap the partition to the lattice (snap_partition) "
             "or shorten the words"
         )
+    size = cfg.size
+    one = matrix_power_mod(T, 1, size) if T is not None else None
     chunk = max(1, (1 << 22) // space)
     acc = np.zeros(space)
     all_p1, all_p2 = _lattice_positions(cfg)
@@ -761,7 +788,7 @@ def cs_probabilities(
             # factors as (digit, old_code) in C order.
             amp = (w[:, :, None] * amp[:, None, :]).reshape(stop - start, d ** (k + 1))
             if one is not None and k + 1 < length:
-                p1, p2 = _advance(one, p1, p2, size)
+                p1, p2 = _step(one, p1, p2, size)
         acc += amp.sum(axis=0)
     probs = acc / cfg.points
     codes = np.arange(space, dtype=np.int64)
@@ -776,6 +803,29 @@ def cs_entropy(
     **kwargs,
 ) -> float:
     return shannon_entropy(cs_probabilities(T, cfg, partition, length, **kwargs))
+
+
+def cs_entropies(
+    T: Optional[ToralMatrix],
+    cfg: LatticeConfig,
+    partition: Partition,
+    n_max: int,
+    capacity: int = DEFAULT_CAPACITY,
+) -> list[float]:
+    """Lattice word entropies S_1..S_n_max of an aligned partition, one orbit pass.
+
+    Bit for bit `cs_entropy` at each length; raises AlignmentRequiredError
+    for an unaligned partition (snap it to the lattice first).
+    """
+    d = len(partition)
+    _check_word_space(n_max, d)
+    weights = _checked_weights(cfg, partition, capacity, None)
+    if not weights.aligned:
+        raise AlignmentRequiredError("one-pass lattice entropies need an aligned partition")
+    return [
+        shannon_entropy(ProbabilityTable.from_counts(codes, n, d))
+        for n, codes in enumerate(_word_codes(_orbit_atoms(T, weights, n_max), d), 1)
+    ]
 
 
 def entropy_components(
@@ -988,20 +1038,14 @@ def compare_entropy_production(
         snapped, shift = snap_partition(partition, size)
         snap_shifts.append(shift)
         weights = cell_weights(snapped, cfg)
-        atom_map = weights.atom_of_cell
-        one = matrix_power_mod(T, 1, size) if T is not None else None
-        p1, p2 = _lattice_positions(cfg)
-        codes = np.zeros(cfg.points, dtype=np.int64)
         atoms_mc = _classical_atom_matrix(T, snapped, n_max, samples, children[i])
-        ks_codes = np.zeros(atoms_mc.shape[0], dtype=np.int64)
+        words = zip(
+            _word_codes(_orbit_atoms(T, weights, n_max), d), _word_codes(atoms_mc.T, d)
+        )
         brk: Optional[int] = None
-        for n in range(1, n_max + 1):
+        for n, (cs_codes, ks_codes) in enumerate(words, 1):
             k = n - 1
-            codes += atom_map[p1 * size + p2].astype(np.int64) * d**k
-            if one is not None and n < n_max:
-                p1, p2 = _advance(one, p1, p2, size)
-            cs_table = ProbabilityTable.from_counts(codes, n, d)
-            ks_codes = ks_codes + atoms_mc[:, k].astype(np.int64) * d**k
+            cs_table = ProbabilityTable.from_counts(cs_codes, n, d)
             ks_table = ProbabilityTable.from_counts(ks_codes, n, d)
             s_cs[i, n] = shannon_entropy(cs_table)
             s_ks[i, n] = shannon_entropy(ks_table)

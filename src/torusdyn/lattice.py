@@ -3,7 +3,8 @@
 The N x N lattice consists of the points p/N with p in (Z/NZ)^2.  An
 integer unimodular matrix T restricts to a bijection of the lattice,
 U(p) = T p mod N, computed here in exact integer arithmetic, and that
-bijection is realized as a permutation table for fast vectorized use.
+bijection is realized as a permutation table for fast vectorized use.  Its
+period is the order of T mod N, found without the table.
 Rounding a torus point to the lattice follows
 p_i = floor(N x_i + 1/2) mod N, so every lattice point owns the half-open
 1/N-cell centered on it, and torus distance is the Euclidean distance
@@ -14,12 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from pathlib import Path
-from typing import Union
 
 import numpy as np
 
-from .maps import ToralMatrix
+from .maps import ToralMatrix, _matrix_power, _order, _step
 
 __all__ = [
     "DEFAULT_CAPACITY",
@@ -158,28 +157,7 @@ def matrix_power_mod(T: ToralMatrix, n: int, modulus: int) -> tuple[int, int, in
     """
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    if n >= 0:
-        base = tuple(v % modulus for v in (T.t11, T.t12, T.t21, T.t22))
-    else:
-        base = tuple(v % modulus for v in (T.t22, -T.t12, -T.t21, T.t11))
-        n = -n
-    result = (1 % modulus, 0, 0, 1 % modulus)
-    while n:
-        if n & 1:
-            result = (
-                (result[0] * base[0] + result[1] * base[2]) % modulus,
-                (result[0] * base[1] + result[1] * base[3]) % modulus,
-                (result[2] * base[0] + result[3] * base[2]) % modulus,
-                (result[2] * base[1] + result[3] * base[3]) % modulus,
-            )
-        base = (
-            (base[0] * base[0] + base[1] * base[2]) % modulus,
-            (base[0] * base[1] + base[1] * base[3]) % modulus,
-            (base[2] * base[0] + base[3] * base[2]) % modulus,
-            (base[2] * base[1] + base[3] * base[3]) % modulus,
-        )
-        n >>= 1
-    return result
+    return _matrix_power(T, n, modulus)
 
 
 def discrete_step(
@@ -194,11 +172,7 @@ def discrete_step(
     n = cfg.size
     if not (0 <= p.p1 < n and 0 <= p.p2 < n):
         raise ValueError(f"{p} is outside the {n} x {n} lattice")
-    m = matrix_power_mod(T, steps, n)
-    return LatticePoint(
-        (m[0] * p.p1 + m[1] * p.p2) % n,
-        (m[2] * p.p1 + m[3] * p.p2) % n,
-    )
+    return LatticePoint(*_step(matrix_power_mod(T, steps, n), p.p1, p.p2, n))
 
 
 def _index_dtype(points: int):
@@ -280,26 +254,6 @@ class Permutation:
             np.array_equal(self.forward, np.arange(self.cfg.points, dtype=self.forward.dtype))
         )
 
-    def save_csv(self, path: Union[str, Path]) -> None:
-        """Flat CSV: one target index per line, N^2 lines, row-major."""
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(str(int(v)) for v in self.forward))
-            fh.write("\n")
-
-    @staticmethod
-    def load_csv(path: Union[str, Path], cfg: LatticeConfig) -> "Permutation":
-        values = np.loadtxt(path, dtype=np.int64)
-        return Permutation(cfg, values.astype(_index_dtype(cfg.points)))
-
-    def save_binary(self, path: Union[str, Path]) -> None:
-        """Flat binary: N^2 little-endian int64 values, row-major."""
-        self.forward.astype("<i8").tofile(path)
-
-    @staticmethod
-    def load_binary(path: Union[str, Path], cfg: LatticeConfig) -> "Permutation":
-        values = np.fromfile(path, dtype="<i8")
-        return Permutation(cfg, values.astype(_index_dtype(cfg.points)))
-
 
 def identity_permutation(cfg: LatticeConfig) -> Permutation:
     return Permutation(cfg, np.arange(cfg.points, dtype=_index_dtype(cfg.points)))
@@ -320,33 +274,20 @@ def build_permutation(
             f"lattice has {points} points, above the configured capacity {capacity}"
         )
     n = cfg.size
-    m = matrix_power_mod(T, 1, n)
     idx = np.arange(points, dtype=np.int64)
     p1 = idx // n
     p2 = idx - n * p1
-    q1 = (m[0] * p1 + m[1] * p2) % n
-    q2 = (m[2] * p1 + m[3] * p2) % n
+    q1, q2 = _step(matrix_power_mod(T, 1, n), p1, p2, n)
     forward = (q1 * n + q2).astype(_index_dtype(points))
     return Permutation(cfg, forward)
 
 
-def orbit_period(
-    T: ToralMatrix, cfg: LatticeConfig, capacity: int = DEFAULT_CAPACITY
-) -> int:
-    """Least m >= 1 with U**m = identity: the lcm of the permutation's cycles."""
-    perm = build_permutation(T, cfg, capacity)
-    forward = perm.forward
-    points = cfg.points
-    visited = np.zeros(points, dtype=bool)
-    period = 1
-    for start in range(points):
-        if visited[start]:
-            continue
-        length = 0
-        cursor = start
-        while not visited[cursor]:
-            visited[cursor] = True
-            cursor = int(forward[cursor])
-            length += 1
-        period = math.lcm(period, length)
-    return period
+def orbit_period(T: ToralMatrix, cfg: LatticeConfig) -> int:
+    """Least m >= 1 with U**m = identity: the order of T mod N.
+
+    U**m sends the lattice points (1, 0) and (0, 1) to the columns of
+    T**m mod N, so it is the identity exactly when T**m = I (mod N).  That
+    order is at most 3N (Dyson and Falk, Amer. Math. Monthly 99, 1992), so
+    the powers are stepped one product at a time with no permutation table.
+    """
+    return _order(T, 3 * cfg.size, cfg.size)

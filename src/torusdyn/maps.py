@@ -114,10 +114,7 @@ class ToralMatrix:
 
     def apply(self, x1: float, x2: float) -> tuple[float, float]:
         """Image of a torus point under one application of the map, mod 1."""
-        return (
-            (self.t11 * x1 + self.t12 * x2) % 1.0,
-            (self.t21 * x1 + self.t22 * x2) % 1.0,
-        )
+        return _step(self.entries, x1, x2, 1.0)
 
     def as_array(self, dtype=np.int64) -> np.ndarray:
         return np.array([[self.t11, self.t12], [self.t21, self.t22]], dtype=dtype)
@@ -141,31 +138,67 @@ def quarter_turn() -> ToralMatrix:
     return ToralMatrix(0, 1, -1, 0)
 
 
-def _mat_mul(
-    a: tuple[int, int, int, int], b: tuple[int, int, int, int]
-) -> tuple[int, int, int, int]:
-    return (
-        a[0] * b[0] + a[1] * b[2],
-        a[0] * b[1] + a[1] * b[3],
-        a[2] * b[0] + a[3] * b[2],
-        a[2] * b[1] + a[3] * b[3],
+def _step(m, x1, x2, modulus=None):
+    """(x1, x2) -> m (x1, x2) for a row-major 2x2 matrix m, reduced mod `modulus`.
+
+    The one implementation of the linear step: integer lattice points mod
+    N, torus points mod 1.0, and (with no modulus) exact matrix products.
+    Python integers are exact at any size.  Integer arrays must hold values
+    in [0, modulus); when the largest possible row sum
+    max(|m0| + |m1|, |m2| + |m3|) * (modulus - 1) would pass their dtype's
+    range the step raises OverflowError instead of wrapping silently.
+    Private, so that bench/tracer.py, which times every public function as
+    its own layer, keeps this arithmetic in the caller's layer.
+    """
+    numpy_operand = isinstance(x1, (np.ndarray, np.generic)) or isinstance(
+        x2, (np.ndarray, np.generic)
     )
+    if numpy_operand and isinstance(modulus, Integral):
+        dtype = np.result_type(x1, x2)
+        reach = max(abs(m[0]) + abs(m[1]), abs(m[2]) + abs(m[3])) * (modulus - 1)
+        if dtype.kind in "iu" and reach > np.iinfo(dtype).max:
+            raise OverflowError(
+                f"lattice step mod {modulus} could reach {reach}, beyond {dtype} arrays"
+            )
+    if modulus is None:
+        return m[0] * x1 + m[1] * x2, m[2] * x1 + m[3] * x2
+    return (m[0] * x1 + m[1] * x2) % modulus, (m[2] * x1 + m[3] * x2) % modulus
 
 
-def matrix_power_entries(T: ToralMatrix, n: int) -> tuple[int, int, int, int]:
-    """Entries of T**n by exact integer squaring; negative n uses the adjugate."""
+def _mat_mul(a, b, modulus=None) -> tuple[int, int, int, int]:
+    """The product a b of row-major 2x2 entry tuples, column by column."""
+    c11, c21 = _step(a, b[0], b[2], modulus)
+    c12, c22 = _step(a, b[1], b[3], modulus)
+    return (c11, c12, c21, c22)
+
+
+def _matrix_power(T: ToralMatrix, n: int, modulus=None) -> tuple[int, int, int, int]:
+    """Entries of T**n by integer squaring, reduced mod `modulus` if given.
+
+    Negative n uses the integer adjugate (valid because det T = 1), so the
+    reduction stays exact for any sign of n.
+    """
     if n >= 0:
         base = T.entries
     else:
         base = (T.t22, -T.t12, -T.t21, T.t11)
         n = -n
-    result = (1, 0, 0, 1)
+    unit = 1
+    if modulus is not None:
+        base = tuple(v % modulus for v in base)
+        unit %= modulus
+    result = (unit, 0, 0, unit)
     while n:
         if n & 1:
-            result = _mat_mul(result, base)
-        base = _mat_mul(base, base)
+            result = _mat_mul(result, base, modulus)
+        base = _mat_mul(base, base, modulus)
         n >>= 1
     return result
+
+
+def matrix_power_entries(T: ToralMatrix, n: int) -> tuple[int, int, int, int]:
+    """Entries of T**n by exact integer squaring; negative n uses the adjugate."""
+    return _matrix_power(T, n)
 
 
 @dataclass(frozen=True)
@@ -244,18 +277,18 @@ def _eigen_angle(T: ToralMatrix) -> float:
     return math.atan2(cross, float(np.dot(u, v)))
 
 
-def _elliptic_period(T: ToralMatrix) -> int:
-    """Exact order of an elliptic matrix by repeated integer multiplication.
+def _order(T: ToralMatrix, limit: int, modulus=None) -> int:
+    """Least k >= 1 with T**k = I (mod `modulus` when given), by repeated products.
 
-    Integer elliptic matrices have order 3, 4 or 6; anything beyond 12 steps
-    signals a logic error rather than bad input.
+    `limit` is a proven bound on the order, so passing it signals a logic
+    error rather than bad input.
     """
-    power = T.entries
-    for k in range(1, 13):
+    power = one = _matrix_power(T, 1, modulus)
+    for k in range(1, limit + 1):
         if power == (1, 0, 0, 1):
             return k
-        power = _mat_mul(power, T.entries)
-    raise AssertionError(f"elliptic matrix {T} did not reach the identity in 12 steps")
+        power = _mat_mul(power, one, modulus)
+    raise AssertionError(f"{T} did not reach the identity in {limit} steps")
 
 
 _ELLIPTIC_ANGLE = {
@@ -307,7 +340,7 @@ def classify(T: ToralMatrix) -> SpectralData:
         eta=eta,
         xi=0.0,
         phi=_ELLIPTIC_ANGLE[tr],
-        period=_elliptic_period(T),
+        period=_order(T, 12),  # integer elliptic matrices have order 3, 4 or 6
     )
 
 

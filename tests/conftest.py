@@ -5,15 +5,27 @@ tests use them as cross-checks: the word sampler below walks cells with its
 own modular stepping and samples geometry directly instead of reusing the
 library's weight tables or packing loops; the atom and cell oracles decide
 membership one point or cell at a time in rational arithmetic; the union
-oracle is the plain `np.union1d` form of the fast merge.
+oracle is the plain `np.union1d` form of the fast merge; the period oracle
+walks every cycle of the cell permutation; `kernel_defect` evaluates the
+Egorov defect by the kernel route with its own single-step orbit walk.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from torusdyn.discretize import (
+    _MESH_BLOCK,
+    Observable,
+    _cell_axis_coordinates,
+    _indicator_entries,
+    _mesh_offset,
+)
 from torusdyn.entropy import Partition, ProbabilityTable
+from torusdyn.lattice import LatticeConfig, matrix_power_mod, round_coordinates
+from torusdyn.maps import ToralMatrix, matrix_power_entries
 
 
 def lattice_word_sampler_mc(
@@ -99,3 +111,88 @@ def probs_on_union_oracle(
         p[hit] = t.probs[idx[hit]]
         out.append(p)
     return out[0], out[1]
+
+
+def orbit_period_cycle_walk(T: ToralMatrix, size: int) -> int:
+    """Least m >= 1 with U**m = identity: the lcm of the cell permutation's cycles.
+
+    Builds its own table of U(p) = T p mod size in Python integers, then
+    walks every cycle once.
+    """
+    t11, t12, t21, t22 = T.entries
+    forward = [
+        ((t11 * p1 + t12 * p2) % size) * size + (t21 * p1 + t22 * p2) % size
+        for p1 in range(size)
+        for p2 in range(size)
+    ]
+    visited = [False] * (size * size)
+    period = 1
+    for start in range(size * size):
+        length = 0
+        cursor = start
+        while not visited[cursor]:
+            visited[cursor] = True
+            cursor = forward[cursor]
+            length += 1
+        if length:
+            period = math.lcm(period, length)
+    return period
+
+
+def kernel_defect(
+    T: ToralMatrix,
+    cfg: LatticeConfig,
+    f: Observable,
+    steps: int,
+    grid: int,
+    quadrature: int = 4,
+) -> float:
+    """Same defect via the kernel-average route, as an independent check.
+
+    The normalized y-integral of f against the squared correspondence
+    kernel collapses to the cell average of f at the lattice image of
+    round(x); this function evaluates that form with its own single-step
+    orbit walk and its own cell-average accumulation, sharing no table or
+    permutation machinery with `egorov_defect`.  The two implementations
+    agree to float reordering (about 1e-12 relative).
+    """
+    if grid < cfg.size:
+        raise ValueError(f"grid must be >= lattice size {cfg.size}, got {grid}")
+    if quadrature < 1:
+        raise ValueError(f"quadrature must be >= 1, got {quadrature}")
+    size = cfg.size
+    # Independent cell-average pass: accumulate sub-grid samples cell by cell.
+    if f.rectangles is not None:
+        averages = _indicator_entries(f.rectangles, cfg)
+    else:
+        q = quadrature
+        averages = np.zeros((size, size))
+        axis_cells = _cell_axis_coordinates(size, q)
+        for a in range(q):
+            xs = axis_cells[:, a]
+            block = np.zeros((size, size))
+            for b in range(q):
+                block += f(xs[:, None], axis_cells[None, :, b])
+            averages += block
+        averages /= q * q
+        averages = averages.ravel()
+    phase = _mesh_offset(grid, size)
+    axis = (np.arange(grid) + phase) / grid
+    m_float = tuple(float(v) for v in matrix_power_entries(T, steps))
+    # Single-step orbit walk of the rounded mesh, repeated |steps| times.
+    one = matrix_power_mod(T, 1 if steps >= 0 else -1, size)
+    total = 0.0
+    rows_per_block = max(1, _MESH_BLOCK // grid)
+    for start in range(0, grid, rows_per_block):
+        stop = min(start + rows_per_block, grid)
+        x1 = axis[start:stop, None]
+        x2 = axis[None, :]
+        cont = f((m_float[0] * x1 + m_float[1] * x2) % 1.0,
+                 (m_float[2] * x1 + m_float[3] * x2) % 1.0)
+        p1 = np.broadcast_to(round_coordinates(x1, size), cont.shape).copy()
+        p2 = np.broadcast_to(round_coordinates(x2, size), cont.shape).copy()
+        for _ in range(abs(steps)):
+            p1, p2 = (one[0] * p1 + one[1] * p2) % size, (one[2] * p1 + one[3] * p2) % size
+        diff = averages[p1 * size + p2] - cont
+        total += float(np.sum(np.abs(diff) ** 2))
+    return math.sqrt(total / (grid * grid))

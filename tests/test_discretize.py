@@ -16,7 +16,6 @@ from torusdyn.discretize import (
     discretize_aw,
     egorov_defect,
     kernel,
-    kernel_defect,
     kernel_many,
     localization_threshold,
     shadowing_threshold,
@@ -32,6 +31,8 @@ from torusdyn.rectangles import (
     polygon_area,
     rectangle_overlap_area,
 )
+
+from conftest import kernel_defect
 
 CAT = cat_map()
 SHEAR = unit_shear()

@@ -211,17 +211,6 @@ def test_orbit_periods():
         assert build_permutation(T, cfg).power(p).is_identity
 
 
-def test_permutation_serialization_roundtrip(tmp_path):
-    cfg = LatticeConfig(8)
-    perm = build_permutation(CAT, cfg)
-    csv_path = tmp_path / "perm.csv"
-    bin_path = tmp_path / "perm.bin"
-    perm.save_csv(csv_path)
-    perm.save_binary(bin_path)
-    assert Permutation.load_csv(csv_path, cfg) == perm
-    assert Permutation.load_binary(bin_path, cfg) == perm
-
-
 def test_capacity_guard():
     with pytest.raises(CapacityExceededError):
         build_permutation(CAT, LatticeConfig(5000), capacity=1 << 20)
