@@ -17,7 +17,7 @@ outputs are assembled in sorted order after the join and are byte-identical
 at any thread count.
 
 Exit codes: 0 success, 2 validation error (including a request whose result
-overflows a float or an int64 lattice step), 3 capacity exceeded.
+overflows a float or an int64 lattice step), 3 capacity or memory exceeded.
 """
 from __future__ import annotations
 
@@ -109,6 +109,19 @@ def parse_bool(value) -> bool:
     raise ValueError(f"expected a boolean, got {value!r}")
 
 
+def _parse_rects(text: str) -> tuple[TorusRectangle, ...]:
+    """Rectangles '<xs>,<xspan>,<ys>,<yspan>[;...]' with rational coordinates like 1/3."""
+    rects = []
+    for chunk in text.split(";"):
+        parts = [p.strip() for p in chunk.split(",")]
+        if len(parts) != 4:
+            raise ValueError(
+                f"rectangle needs 4 rational values (x_start,x_span,y_start,y_span), got {chunk!r}"
+            )
+        rects.append(TorusRectangle(*(Fraction(p) for p in parts)))
+    return tuple(rects)
+
+
 def parse_partition(text: str) -> Partition:
     """Named preset or literal rectangles.
 
@@ -126,16 +139,7 @@ def parse_partition(text: str) -> Partition:
     if text.startswith("bands-x2:"):
         return partition_bands_x2(int(text.split(":", 1)[1]))
     if text.startswith("rects:"):
-        atoms = []
-        for chunk in text[len("rects:"):].split(";"):
-            parts = [p.strip() for p in chunk.split(",")]
-            if len(parts) != 4:
-                raise ValueError(
-                    f"rectangle needs 4 rational values (x_start,x_span,y_start,y_span), got {chunk!r}"
-                )
-            xs, xw, ys, yw = (Fraction(p) for p in parts)
-            atoms.append(TorusRectangle(xs, xw, ys, yw))
-        return Partition(tuple(atoms), name=text)
+        return Partition(_parse_rects(text[len("rects:"):]), name=text)
     raise ValueError(f"unknown partition spec {text!r}")
 
 
@@ -162,8 +166,7 @@ def parse_observable(text: str) -> Observable:
     if text in presets:
         return presets[text]
     if text.startswith("indicator:"):
-        rects = parse_partition("rects:" + text[len("indicator:"):]).atoms
-        return Observable.indicator(rects, name=text)
+        return Observable.indicator(_parse_rects(text[len("indicator:"):]), name=text)
     raise ValueError(
         f"unknown observable {text!r}; presets: {', '.join(sorted(presets))}, indicator:<rects>"
     )
@@ -688,6 +691,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return ns._func(ns, ns._opts)
     except CapacityExceededError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError as exc:  # numpy raises a private subclass; name the public one
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ValueError, OverflowError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

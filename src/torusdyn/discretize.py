@@ -11,7 +11,8 @@ steps carry the cell of x onto the cell of y, else 0.  Three diagnostics
 quantify how long the lattice dynamics tracks the continuous map:
 
 * `egorov_defect`: L2 distance between f evolved continuously for j steps
-  and the cell-entry observable transported along the lattice orbit;
+  and the cell-entry observable transported along the lattice orbit, on a
+  rational mesh whose images T**j x are exact cell-plus-offset sums at any j;
 * `check_dynamical_localization`: with N above an explicit family threshold,
   the kernel vanishes for every sampled pair farther apart than d0 after n
   continuous steps (zero tolerance);
@@ -247,21 +248,6 @@ def kernel_many(
     return hit.astype(np.int64)
 
 
-def _mesh_offset(grid: int, size: int) -> float:
-    """Mesh phase that avoids sampling on cell boundaries (k + 1/2)/N.
-
-    For an even multiple of N the half-step phase works ((2i+1)N = (2k+1)G
-    has no solution); for an odd multiple the plain grid i/G does; any
-    other grid gets the half-step phase, where exact collisions are
-    sporadic at worst and measure zero in the quadrature.
-    """
-    if grid % (2 * size) == 0:
-        return 0.5
-    if grid % size == 0:
-        return 0.0
-    return 0.5
-
-
 def egorov_defect(
     T: ToralMatrix,
     cfg: LatticeConfig,
@@ -275,33 +261,38 @@ def egorov_defect(
 
     Computes the L2(torus) norm of
         x -> f(T**steps x) - entry_{U**steps(round(x))}(discretize(f))
-    by midpoint quadrature on a grid x grid mesh whose phase avoids the
-    discontinuity lines of the step function.  A precomputed cell-average
-    `table` for f may be supplied to amortize sweeps over many step counts.
+    by midpoint quadrature on the G x G mesh, G = grid = g*N.  Mesh points
+    are the rationals x = (2g p + e)/(2G): p a cell, e one of the in-cell
+    offsets -(g-1), -(g-3), ..., g-1 per axis, so no point is on a cell
+    boundary.  Exactly, T**steps x = U**steps(p)/N + delta_e (mod 1) with
+    delta_e = (T**steps e mod 2G)/(2G), and U**steps permutes the cells, so
+        defect**2 = G**-2 * sum_e sum_q |f(q/N + delta_e) - table[q]|**2,
+    which needs only T**steps mod 2G, in integers at any step count.  A
+    precomputed cell-average `table` for f amortizes sweeps over steps.
     """
-    if grid < cfg.size:
-        raise ValueError(f"grid must be >= lattice size {cfg.size}, got {grid}")
+    size = cfg.size
+    g, rest = divmod(grid, size)
+    if g < 1 or rest:
+        raise ValueError(f"grid must be a positive multiple of the lattice size {size}, got {grid}")
     if table is None:
         table = discretize_aw(f, cfg, quadrature)
     elif table.cfg != cfg:
         raise ValueError("precomputed table belongs to a different lattice")
-    size = cfg.size
-    phase = _mesh_offset(grid, size)
-    axis = (np.arange(grid) + phase) / grid
-    m_float = tuple(float(v) for v in matrix_power_entries(T, steps))
-    m_mod = matrix_power_mod(T, steps, size)
+    modulus = 2 * grid
+    m = matrix_power_mod(T, steps, modulus)
+    cells = 2 * g * np.arange(size)
+    entries = table.entries.reshape(size, size)
     total = 0.0
-    rows_per_block = max(1, _MESH_BLOCK // grid)
-    for start in range(0, grid, rows_per_block):
-        stop = min(start + rows_per_block, grid)
-        x1 = axis[start:stop, None]
-        x2 = axis[None, :]
-        cont = f(*_step(m_float, x1, x2, 1.0))
-        q1, q2 = _step(m_mod, round_coordinates(x1, size), round_coordinates(x2, size), size)
-        idx = q1 * size + q2
-        del q1, q2  # a block's coordinates need not outlive its cell indices
-        diff = cont - table.entries[idx]
-        total += float(np.sum(np.abs(diff) ** 2))
+    rows_per_block = max(1, _MESH_BLOCK // size)
+    for e1 in range(1 - g, g, 2):
+        for e2 in range(1 - g, g, 2):
+            d1, d2 = _step(m, e1, e2, modulus)
+            x1 = (cells + d1) % modulus / modulus
+            x2 = ((cells + d2) % modulus / modulus)[None, :]
+            for start in range(0, size, rows_per_block):
+                stop = min(start + rows_per_block, size)
+                diff = f(x1[start:stop, None], x2) - entries[start:stop]
+                total += float(np.sum(np.abs(diff) ** 2))
     return math.sqrt(total / (grid * grid))
 
 

@@ -7,7 +7,8 @@ library's weight tables or packing loops; the atom and cell oracles decide
 membership one point or cell at a time in rational arithmetic; the union
 oracle is the plain `np.union1d` form of the fast merge; the period oracle
 walks every cycle of the cell permutation; `kernel_defect` evaluates the
-Egorov defect by the kernel route with its own single-step orbit walk.
+Egorov defect by the kernel route with its own single-step orbit walk, and
+`egorov_defect_exact_mesh` from every mesh point's exact integer orbit.
 """
 from __future__ import annotations
 
@@ -18,10 +19,10 @@ import numpy as np
 
 from torusdyn.discretize import (
     _MESH_BLOCK,
+    DiagonalObservable,
     Observable,
     _cell_axis_coordinates,
     _indicator_entries,
-    _mesh_offset,
 )
 from torusdyn.entropy import Partition, ProbabilityTable
 from torusdyn.lattice import LatticeConfig, matrix_power_mod, round_coordinates
@@ -139,6 +140,19 @@ def orbit_period_cycle_walk(T: ToralMatrix, size: int) -> int:
     return period
 
 
+def _mesh_phase(grid: int, size: int) -> float:
+    """Phase of the Egorov mesh (i + phase)/grid, grid a multiple g of N.
+
+    A mesh point sits on a cell boundary (k + 1/2)/N when
+    2i + 2 phase = (2k + 1) g; phase 1/2 rules that out for even g and
+    phase 0 for odd g.
+    """
+    g, rest = divmod(grid, size)
+    if g < 1 or rest:
+        raise ValueError(f"grid must be a positive multiple of the lattice size {size}, got {grid}")
+    return 0.5 if g % 2 == 0 else 0.0
+
+
 def kernel_defect(
     T: ToralMatrix,
     cfg: LatticeConfig,
@@ -156,8 +170,6 @@ def kernel_defect(
     permutation machinery with `egorov_defect`.  The two implementations
     agree to float reordering (about 1e-12 relative).
     """
-    if grid < cfg.size:
-        raise ValueError(f"grid must be >= lattice size {cfg.size}, got {grid}")
     if quadrature < 1:
         raise ValueError(f"quadrature must be >= 1, got {quadrature}")
     size = cfg.size
@@ -176,8 +188,7 @@ def kernel_defect(
             averages += block
         averages /= q * q
         averages = averages.ravel()
-    phase = _mesh_offset(grid, size)
-    axis = (np.arange(grid) + phase) / grid
+    axis = (np.arange(grid) + _mesh_phase(grid, size)) / grid
     m_float = tuple(float(v) for v in matrix_power_entries(T, steps))
     # Single-step orbit walk of the rounded mesh, repeated |steps| times.
     one = matrix_power_mod(T, 1 if steps >= 0 else -1, size)
@@ -196,3 +207,35 @@ def kernel_defect(
         diff = averages[p1 * size + p2] - cont
         total += float(np.sum(np.abs(diff) ** 2))
     return math.sqrt(total / (grid * grid))
+
+
+def egorov_defect_exact_mesh(
+    T: ToralMatrix, cfg: LatticeConfig, f: Observable, steps: int, grid: int,
+    table: DiagonalObservable,
+) -> float:
+    """Egorov defect from the exact integer orbit of every mesh point.
+
+    Mesh point (i1, i2) is a/(2 grid) with a_k = 2 i_k + 2 phase.  Its image
+    a' = T**steps a mod 2 grid is computed in Python integers, with T**steps
+    formed here by repeated multiplication; its cell round(N x) is
+    (a + g) // 2g mod N, and that cell's lattice image is T**steps cell
+    mod N.  The squared differences are summed by `math.fsum`.
+    """
+    size = cfg.size
+    g = grid // size
+    modulus = 2 * grid
+    a = np.array([2 * i + int(2 * _mesh_phase(grid, size)) for i in range(grid)], dtype=object)
+    m = (1, 0, 0, 1)
+    t11, t12, t21, t22 = T.entries if steps >= 0 else (T.t22, -T.t12, -T.t21, T.t11)
+    for _ in range(abs(steps)):
+        m = (m[0] * t11 + m[1] * t21, m[0] * t12 + m[1] * t22,
+             m[2] * t11 + m[3] * t21, m[2] * t12 + m[3] * t22)
+    a1, a2 = a[:, None], a[None, :]
+    b1 = (m[0] * a1 + m[1] * a2) % modulus
+    b2 = (m[2] * a1 + m[3] * a2) % modulus
+    cont = f(b1.astype(float) / modulus, b2.astype(float) / modulus)
+    p1, p2 = (a1 + g) // (2 * g) % size, (a2 + g) // (2 * g) % size
+    q1 = ((m[0] * p1 + m[1] * p2) % size).astype(np.int64)
+    q2 = ((m[2] * p1 + m[3] * p2) % size).astype(np.int64)
+    diff = np.broadcast_to(cont, (grid, grid)) - table.entries[q1 * size + q2]
+    return math.sqrt(math.fsum((np.abs(diff) ** 2).ravel()) / (grid * grid))

@@ -283,6 +283,27 @@ def test_egorov_bad_observable(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+def test_egorov_indicator_observable(tmp_path):
+    # A proper indicator (area 1/2) need not tile the torus like a partition atom.
+    out_path = tmp_path / "x.csv"
+    code = run([
+        "egorov", "--matrix", "1", "1", "0", "1", "--sizes", "20", "--steps-max", "2",
+        "--observable", "indicator:0,1/2,0,1", "--output", str(out_path),
+    ])
+    assert code == EXIT_OK
+    rows = [l.split(",") for l in out_path.read_text().splitlines() if not l.startswith("#")][1:]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(r[2])) for r in rows)
+
+
+def test_egorov_malformed_indicator_rect(tmp_path):
+    code = run([
+        "egorov", "--matrix", "1", "1", "0", "1", "--sizes", "20", "--steps-max", "2",
+        "--observable", "indicator:0,1/2,0", "--output", str(tmp_path / "x.csv"),
+    ])
+    assert code == EXIT_VALIDATION
+
+
 # --- module entry point -------------------------------------------------------------
 
 
@@ -311,3 +332,26 @@ def test_float_overflow_is_validation_error(argv, capsys):
     assert err.startswith("OverflowError: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+# --- memory ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["localize", "--matrix", "2", "1", "1", "1", "--size", "256", "--steps", "3", "--seed", "5",
+     "--trials", "10000000000000"],
+    ["diameters", "--matrix", "1", "1", "0", "1", "--steps-max", "3",
+     "--samples", "10000000000000", "--output", "{out}"],
+    ["entropy", "--matrix", "2", "1", "1", "1", "--sizes", "16", "--n-max", "2",
+     "--samples", "10000000000000", "--seed", "1", "--output", "{out}"],
+])
+def test_unallocatable_request_is_capacity_error(argv, capsys, tmp_path):
+    # Each request asks numpy for tens of TiB at once, which fails before
+    # anything is allocated.
+    argv = [str(tmp_path / "x.csv") if a == "{out}" else a for a in argv]
+    assert run(argv) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("MemoryError: ")
+    assert len(err.splitlines()) == 1

@@ -20,7 +20,7 @@ from torusdyn.discretize import (
     localization_threshold,
     shadowing_threshold,
 )
-from torusdyn.lattice import LatticeConfig, TorusPoint
+from torusdyn.lattice import LatticeConfig, TorusPoint, orbit_period
 from torusdyn.maps import cat_map, classify, quarter_turn, unit_shear
 from torusdyn.rectangles import (
     TorusRectangle,
@@ -32,7 +32,7 @@ from torusdyn.rectangles import (
     rectangle_overlap_area,
 )
 
-from conftest import kernel_defect
+from conftest import egorov_defect_exact_mesh, kernel_defect
 
 CAT = cat_map()
 SHEAR = unit_shear()
@@ -232,6 +232,35 @@ def test_kernel_route_agrees_with_direct_route():
 def test_defect_validates_grid():
     with pytest.raises(ValueError):
         egorov_defect(CAT, LatticeConfig(64), SIN1, 1, 32)
+
+
+def test_defect_rejects_grid_not_a_multiple_of_size():
+    with pytest.raises(ValueError, match="multiple"):
+        egorov_defect(CAT, LatticeConfig(64), SIN1, 1, 100)
+
+
+def test_defect_exact_where_float_powers_lose_precision():
+    # The cat map's T**j passes 2**53 near j = 38; a float mesh walk then
+    # returned one constant for every j >= 41 at this size.
+    cfg = LatticeConfig(16)
+    table = discretize_aw(SIN1, cfg, 4)
+    defects = []
+    for j in range(38, 61):
+        d = egorov_defect(CAT, cfg, SIN1, j, 32, table=table)
+        assert abs(d - egorov_defect_exact_mesh(CAT, cfg, SIN1, j, 32, table)) <= 1e-12 * d, j
+        defects.append(d)
+    assert len(set(defects[3:])) > 1
+
+
+def test_defect_repeats_with_the_order_of_t_mod_twice_the_grid():
+    # Mesh images depend on T**j mod 2*grid only; the cat map's order mod 64 is 48.
+    cfg = LatticeConfig(16)
+    table = discretize_aw(SIN1, cfg, 4)
+    assert orbit_period(CAT, LatticeConfig(64)) == 48
+    for j in (0, 5, 12):
+        assert egorov_defect(CAT, cfg, SIN1, j + 48, 32, table=table) == egorov_defect(
+            CAT, cfg, SIN1, j, 32, table=table
+        )
 
 
 # --- thresholds and guarantees -------------------------------------------------

@@ -1,8 +1,9 @@
-"""Properties of the shared lattice step, matrix powers, orbit periods and word counter.
+"""Properties of the shared lattice step, matrix powers, orbit periods, word
+counter and Egorov defect.
 
 Random unimodular matrices with entries in [-5, 5] are checked against
-Python-integer and cycle-walk oracles; the int64 overflow guard is checked
-at its boundary and through `kernel_many` and the CLI.
+Python-integer, cycle-walk and exact-mesh oracles; the int64 overflow guard
+is checked at its boundary and through `kernel_many` and the CLI.
 """
 import itertools
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torusdyn.cli import EXIT_VALIDATION, main
-from torusdyn.discretize import kernel, kernel_many
+from torusdyn.discretize import Observable, discretize_aw, egorov_defect, kernel, kernel_many
 from torusdyn.entropy import (
     cs_entropies,
     cs_entropy,
@@ -25,7 +26,7 @@ from torusdyn.entropy import (
 from torusdyn.lattice import LatticeConfig, TorusPoint, matrix_power_mod, orbit_period
 from torusdyn.maps import ToralMatrix, cat_map, matrix_power_entries, _step
 
-from conftest import orbit_period_cycle_walk
+from conftest import egorov_defect_exact_mesh, orbit_period_cycle_walk
 
 UNIMODULAR = [
     ToralMatrix(*m)
@@ -159,3 +160,24 @@ def test_one_pass_entropies_equal_per_length_cs_entropy(T, size, partition, n_ma
     one_pass = cs_entropies(T, cfg, snapped, n_max)
     per_length = [cs_entropy(T, cfg, snapped, n) for n in range(1, n_max + 1)]
     assert one_pass == per_length
+
+
+# --- the Egorov defect -----------------------------------------------------------
+
+OBSERVABLES = [
+    Observable.from_function(lambda x1, x2: np.sin(2 * np.pi * x1), 1.0, "sin-x1"),
+    Observable.from_function(
+        lambda x1, x2: np.cos(2 * np.pi * (x1 + 2 * x2)) + x1 * x2**2, 2.0, "non-separable"
+    ),
+]
+
+
+@settings(deadline=None)
+@given(matrices, st.integers(2, 40), st.integers(1, 4), st.integers(-5, 60),
+       st.sampled_from(OBSERVABLES))
+def test_egorov_defect_matches_exact_mesh_oracle(T, size, g, steps, f):
+    cfg = LatticeConfig(size)
+    table = discretize_aw(f, cfg, 2)
+    got = egorov_defect(T, cfg, f, steps, g * size, table=table)
+    want = egorov_defect_exact_mesh(T, cfg, f, steps, g * size, table)
+    assert abs(got - want) <= 1e-12 * want
