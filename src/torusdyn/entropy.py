@@ -25,7 +25,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .lattice import DEFAULT_CAPACITY, CapacityExceededError, LatticeConfig, matrix_power_mod
+from .lattice import (
+    DEFAULT_CAPACITY, CapacityExceededError, LatticeConfig, build_permutation, matrix_power_mod,
+)
 from .maps import Family, ToralMatrix, classify, _step
 from .rectangles import (
     TorusRectangle,
@@ -328,29 +330,29 @@ class CellWeightTable:
         return self.x_weights[:, p1].T * self.y_weights[:, p2].T
 
 
+def _aligned_cells(start: Fraction, span: Fraction, size: int) -> np.ndarray:
+    """Cells of an arc whose edges lie on cell edges: (2k+1)/(2 size) opens cell k+1."""
+    first = (start * 2 * size).numerator // 2 + 1
+    return (first + np.arange(int(span * size))) % size
+
+
 def cell_weights(partition: Partition, cfg: LatticeConfig) -> CellWeightTable:
     size = cfg.size
     d = len(partition)
-    cell_pieces = [cell_interval_pieces(p, size) for p in range(size)]
-    wx_frac = [
-        [size * pieces_overlap(cell_pieces[p], atom.x_pieces()) for p in range(size)]
-        for atom in partition.atoms
-    ]
-    wy_frac = [
-        [size * pieces_overlap(cell_pieces[p], atom.y_pieces()) for p in range(size)]
-        for atom in partition.atoms
-    ]
-    # Exact sanity check on a few cells plus exact alignment detection.
     aligned = is_aligned(partition, size)
     atom_map = None
     if aligned:
-        # Each atom covers the product of its full-weight rows and columns;
-        # every cell must be covered exactly once.
+        # Each atom covers the product of its rows and columns, read off its
+        # integer edge positions; every cell must be covered exactly once.
+        wx = np.zeros((d, size))
+        wy = np.zeros((d, size))
         atom_map = np.empty((size, size), dtype=np.uint8)
         hits = np.zeros((size, size), dtype=np.uint8)
-        for a in range(d):
-            rows = np.array([v == 1 for v in wx_frac[a]])
-            cols = np.array([v == 1 for v in wy_frac[a]])
+        for a, atom in enumerate(partition.atoms):
+            rows = _aligned_cells(atom.x_start, atom.x_span, size)
+            cols = _aligned_cells(atom.y_start, atom.y_span, size)
+            wx[a, rows] = 1.0
+            wy[a, cols] = 1.0
             atom_map[np.ix_(rows, cols)] = a
             hits[np.ix_(rows, cols)] += 1
         bad = np.flatnonzero(hits != 1)
@@ -361,6 +363,16 @@ def cell_weights(partition: Partition, cfg: LatticeConfig) -> CellWeightTable:
             )
         atom_map = atom_map.ravel()
     else:
+        cell_pieces = [cell_interval_pieces(p, size) for p in range(size)]
+        wx_frac = [
+            [size * pieces_overlap(cell_pieces[p], atom.x_pieces()) for p in range(size)]
+            for atom in partition.atoms
+        ]
+        wy_frac = [
+            [size * pieces_overlap(cell_pieces[p], atom.y_pieces()) for p in range(size)]
+            for atom in partition.atoms
+        ]
+        # Exact sanity check on a few cells.
         for p1 in (0, size // 2, size - 1):
             for p2 in (0, size // 2, size - 1):
                 total = sum(
@@ -370,8 +382,8 @@ def cell_weights(partition: Partition, cfg: LatticeConfig) -> CellWeightTable:
                     raise AssertionError(
                         f"cell ({p1},{p2}) atom weights sum to {total}, expected 1"
                     )
-    wx = np.array([[float(v) for v in row] for row in wx_frac])
-    wy = np.array([[float(v) for v in row] for row in wy_frac])
+        wx = np.array([[float(v) for v in row] for row in wx_frac])
+        wy = np.array([[float(v) for v in row] for row in wy_frac])
     return CellWeightTable(
         cfg=cfg,
         atom_count=d,
@@ -468,7 +480,8 @@ class ProbabilityTable:
         if values.size == 0:
             raise ValueError("cannot build a table from zero samples")
         space = alphabet**length
-        if space <= 1 << 24:
+        # A dense histogram costs O(space); past values.size sorting is cheaper.
+        if space <= values.size:
             dense = np.bincount(values, minlength=space)
             codes = np.flatnonzero(dense).astype(np.int64)
             counts = dense[codes]
@@ -701,22 +714,20 @@ def ks_entropy_rate(
 # ---------------------------------------------------------------------------
 
 
-def _lattice_positions(cfg: LatticeConfig) -> tuple[np.ndarray, np.ndarray]:
-    size = cfg.size
-    p1 = np.repeat(np.arange(size, dtype=np.int64), size)
-    p2 = np.tile(np.arange(size, dtype=np.int64), size)
-    return p1, p2
+def _orbit_atoms(T: Optional[ToralMatrix], weights: CellWeightTable, length: int, capacity: int):
+    """Atom of every lattice point's orbit cell at steps 0..length-1 (aligned).
 
-
-def _orbit_atoms(T: Optional[ToralMatrix], weights: CellWeightTable, length: int):
-    """Atom of every lattice point's orbit cell at steps 0..length-1 (aligned)."""
-    size = weights.cfg.size
-    one = matrix_power_mod(T, 1, size) if T is not None else None
-    p1, p2 = _lattice_positions(weights.cfg)
+    The step-k atom of p is the step-(k-1) atom of U p, so each step is one
+    gather of the previous symbols on the permutation table of U.
+    """
+    symbols = weights.atom_of_cell
+    forward = None
+    if T is not None and length > 1:
+        forward = build_permutation(T, weights.cfg, capacity).forward
     for k in range(length):
-        yield weights.atom_of_cell[p1 * size + p2]
-        if one is not None and k + 1 < length:
-            p1, p2 = _step(one, p1, p2, size)
+        yield symbols
+        if forward is not None and k + 1 < length:
+            symbols = symbols[forward]
 
 
 def _checked_weights(
@@ -763,7 +774,7 @@ def cs_probabilities(
     weights = _checked_weights(cfg, partition, capacity, weights)
     d = len(partition)
     if weights.aligned:
-        *_, codes = _word_codes(_orbit_atoms(T, weights, length), d)
+        *_, codes = _word_codes(_orbit_atoms(T, weights, length, capacity), d)
         return ProbabilityTable.from_counts(codes, length, d)
     space = d**length
     if space > unaligned_cap:
@@ -776,7 +787,7 @@ def cs_probabilities(
     one = matrix_power_mod(T, 1, size) if T is not None else None
     chunk = max(1, (1 << 22) // space)
     acc = np.zeros(space)
-    all_p1, all_p2 = _lattice_positions(cfg)
+    all_p1, all_p2 = np.divmod(np.arange(cfg.points, dtype=np.int64), size)
     for start in range(0, cfg.points, chunk):
         stop = min(start + chunk, cfg.points)
         p1 = all_p1[start:stop].copy()
@@ -824,7 +835,7 @@ def cs_entropies(
         raise AlignmentRequiredError("one-pass lattice entropies need an aligned partition")
     return [
         shannon_entropy(ProbabilityTable.from_counts(codes, n, d))
-        for n, codes in enumerate(_word_codes(_orbit_atoms(T, weights, n_max), d), 1)
+        for n, codes in enumerate(_word_codes(_orbit_atoms(T, weights, n_max, capacity), d), 1)
     ]
 
 
@@ -1040,7 +1051,7 @@ def compare_entropy_production(
         weights = cell_weights(snapped, cfg)
         atoms_mc = _classical_atom_matrix(T, snapped, n_max, samples, children[i])
         words = zip(
-            _word_codes(_orbit_atoms(T, weights, n_max), d), _word_codes(atoms_mc.T, d)
+            _word_codes(_orbit_atoms(T, weights, n_max, capacity), d), _word_codes(atoms_mc.T, d)
         )
         brk: Optional[int] = None
         for n, (cs_codes, ks_codes) in enumerate(words, 1):

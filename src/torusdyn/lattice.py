@@ -264,9 +264,10 @@ def build_permutation(
 ) -> Permutation:
     """Permutation table of the one-step lattice map U(p) = T p mod N.
 
-    Vectorized and exact: entries are reduced mod N first, so all products
-    stay well inside int64.  Raises CapacityExceededError when N^2 exceeds
-    `capacity`.
+    Exact and free of integer division: U(p1, p2) = U(p1, 0) + U(0, p2) mod
+    N, so only the two axes are stepped; their image coordinates, each in
+    [0, N), are summed over the N x N grid, less N where a sum reaches N.
+    Raises CapacityExceededError when N^2 exceeds `capacity`.
     """
     points = cfg.points
     if points > capacity:
@@ -274,12 +275,17 @@ def build_permutation(
             f"lattice has {points} points, above the configured capacity {capacity}"
         )
     n = cfg.size
-    idx = np.arange(points, dtype=np.int64)
-    p1 = idx // n
-    p2 = idx - n * p1
-    q1, q2 = _step(matrix_power_mod(T, 1, n), p1, p2, n)
-    forward = (q1 * n + q2).astype(_index_dtype(points))
-    return Permutation(cfg, forward)
+    dtype = _index_dtype(points)
+    one = matrix_power_mod(T, 1, n)
+    axis = np.arange(n, dtype=np.int64)
+    row_terms = [t.astype(dtype) for t in _step(one, axis, 0, n)]
+    col_terms = [t.astype(dtype) for t in _step(one, 0, axis, n)]
+    q1, q2 = (np.add.outer(r, c) for r, c in zip(row_terms, col_terms))
+    for q in (q1, q2):
+        np.subtract(q, n, out=q, where=q >= n)
+    q1 *= n
+    q1 += q2
+    return Permutation(cfg, q1.ravel())
 
 
 def orbit_period(T: ToralMatrix, cfg: LatticeConfig) -> int:

@@ -5,10 +5,14 @@ tests use them as cross-checks: the word sampler below walks cells with its
 own modular stepping and samples geometry directly instead of reusing the
 library's weight tables or packing loops; the atom and cell oracles decide
 membership one point or cell at a time in rational arithmetic; the union
-oracle is the plain `np.union1d` form of the fast merge; the period oracle
-walks every cycle of the cell permutation; `kernel_defect` evaluates the
-Egorov defect by the kernel route with its own single-step orbit walk, and
-`egorov_defect_exact_mesh` from every mesh point's exact integer orbit.
+oracle is the plain `np.union1d` form of the fast merge; the permutation
+table is built point by point in Python integers, and the period oracle
+walks every cycle of it; the orbit-atom walk steps coordinate arrays instead
+of gathering on the permutation, and the cell-weight oracle takes exact
+`Fraction` overlaps instead of integer edge positions; `kernel_defect`
+evaluates the Egorov defect by the kernel route with its own single-step
+orbit walk, and `egorov_defect_exact_mesh` from every mesh point's exact
+integer orbit.
 """
 from __future__ import annotations
 
@@ -26,7 +30,8 @@ from torusdyn.discretize import (
 )
 from torusdyn.entropy import Partition, ProbabilityTable
 from torusdyn.lattice import LatticeConfig, matrix_power_mod, round_coordinates
-from torusdyn.maps import ToralMatrix, matrix_power_entries
+from torusdyn.maps import ToralMatrix, _step, matrix_power_entries
+from torusdyn.rectangles import TorusRectangle, cell_interval_pieces, pieces_overlap
 
 
 def lattice_word_sampler_mc(
@@ -114,18 +119,63 @@ def probs_on_union_oracle(
     return out[0], out[1]
 
 
+def permutation_table_python_int(T: ToralMatrix, size: int) -> list[int]:
+    """Flat table of U(p) = T p mod size, point by point in Python integers."""
+    t11, t12, t21, t22 = T.entries
+    return [
+        ((t11 * p1 + t12 * p2) % size) * size + (t21 * p1 + t22 * p2) % size
+        for p1 in range(size)
+        for p2 in range(size)
+    ]
+
+
+def orbit_atoms_step_walk(T, weights, length: int):
+    """Atom of every lattice point's orbit cell at steps 0..length-1 (aligned).
+
+    Steps all N^2 points as two int64 coordinate arrays with the 2x2 step
+    mod N and reads the atom of each point's cell, step by step; it builds
+    no permutation table.
+    """
+    size = weights.cfg.size
+    one = matrix_power_mod(T, 1, size) if T is not None else None
+    p1 = np.repeat(np.arange(size, dtype=np.int64), size)
+    p2 = np.tile(np.arange(size, dtype=np.int64), size)
+    for k in range(length):
+        yield weights.atom_of_cell[p1 * size + p2]
+        if one is not None and k + 1 < length:
+            p1, p2 = _step(one, p1, p2, size)
+
+
+def cell_weights_fraction_oracle(
+    partition: Partition, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x weights, y weights and flat cell -> atom map of an aligned partition.
+
+    Each weight is size times the exact `pieces_overlap` of the cell's
+    interval with the atom's arc; an atom covers the product of its
+    full-weight rows and columns.
+    """
+    cells = [cell_interval_pieces(p, size) for p in range(size)]
+    wx, wy = (
+        np.array([
+            [float(size * pieces_overlap(cells[p], pieces(atom))) for p in range(size)]
+            for atom in partition.atoms
+        ])
+        for pieces in (TorusRectangle.x_pieces, TorusRectangle.y_pieces)
+    )
+    atom_of_cell = np.full((size, size), -1, dtype=np.int64)
+    for a in range(len(partition)):
+        atom_of_cell[np.ix_(wx[a] == 1.0, wy[a] == 1.0)] = a
+    return wx, wy, atom_of_cell.ravel()
+
+
 def orbit_period_cycle_walk(T: ToralMatrix, size: int) -> int:
     """Least m >= 1 with U**m = identity: the lcm of the cell permutation's cycles.
 
     Builds its own table of U(p) = T p mod size in Python integers, then
     walks every cycle once.
     """
-    t11, t12, t21, t22 = T.entries
-    forward = [
-        ((t11 * p1 + t12 * p2) % size) * size + (t21 * p1 + t22 * p2) % size
-        for p1 in range(size)
-        for p2 in range(size)
-    ]
+    forward = permutation_table_python_int(T, size)
     visited = [False] * (size * size)
     period = 1
     for start in range(size * size):

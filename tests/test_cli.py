@@ -275,6 +275,18 @@ def test_capacity_exit_code(tmp_path):
     assert code == EXIT_CAPACITY
 
 
+@pytest.mark.parametrize("capacity, expected", [(20_000_000, EXIT_OK), (1000, EXIT_CAPACITY)])
+def test_capacity_reaches_the_lattice_walk(capacity, expected, tmp_path):
+    # 4100**2 = 16,810,000 points, above the default capacity of 2**24; with a
+    # matrix the walk builds the permutation, which must honour --capacity.
+    code = run([
+        "entropy", "--mode", "components", "--matrix", "2", "1", "1", "1",
+        "--sizes", "4100", "--n-max", "2", "--capacity", str(capacity),
+        "--output", str(tmp_path / "x.csv"),
+    ])
+    assert code == expected
+
+
 def test_egorov_bad_observable(tmp_path):
     code = run([
         "egorov", "--matrix", "2", "1", "1", "1", "--sizes", "32", "--steps-max", "1",

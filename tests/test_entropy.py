@@ -40,6 +40,7 @@ from torusdyn.rectangles import TorusRectangle
 from conftest import (
     atom_of_cell_bruteforce,
     atom_of_point_exact,
+    cell_weights_fraction_oracle,
     lattice_word_sampler_mc,
     probs_on_union_oracle,
 )
@@ -185,6 +186,18 @@ def test_cell_weights_atom_map_matches_bruteforce():
             assert w.aligned
             assert w.atom_of_cell.dtype == np.uint8
             assert np.array_equal(w.atom_of_cell, atom_of_cell_bruteforce(snapped, size))
+
+
+def test_cell_weights_aligned_match_fraction_overlaps():
+    for base in _presets() + [_wrapping_thirds()]:
+        for size in (5, 8, 12, 33):
+            snapped, _ = snap_partition(base, size)
+            w = cell_weights(snapped, LatticeConfig(size))
+            wx, wy, atom_of_cell = cell_weights_fraction_oracle(snapped, size)
+            assert w.x_weights.dtype == w.y_weights.dtype == np.float64
+            assert np.array_equal(w.x_weights, wx)
+            assert np.array_equal(w.y_weights, wy)
+            assert np.array_equal(w.atom_of_cell, atom_of_cell)
 
 
 def test_cell_weights_aligned_cover_is_checked():

@@ -1,32 +1,49 @@
-"""Properties of the shared lattice step, matrix powers, orbit periods, word
-counter and Egorov defect.
+"""Properties of the shared lattice step, matrix powers, orbit periods, the
+permutation table and the orbit walk on it, word counter and Egorov defect.
 
 Random unimodular matrices with entries in [-5, 5] are checked against
-Python-integer, cycle-walk and exact-mesh oracles; the int64 overflow guard
-is checked at its boundary and through `kernel_many` and the CLI.
+Python-integer, coordinate-walk, cycle-walk and exact-mesh oracles; the
+int64 overflow guard is checked at its boundary and through `kernel_many`
+and the CLI.
 """
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torusdyn.cli import EXIT_VALIDATION, main
+from torusdyn.cli import EXIT_VALIDATION, main, parse_partition
 from torusdyn.discretize import Observable, discretize_aw, egorov_defect, kernel, kernel_many
 from torusdyn.entropy import (
+    _orbit_atoms,
+    cell_weights,
     cs_entropies,
     cs_entropy,
     partition_bands_x2,
+    partition_halves_x1,
     partition_halves_x2,
     partition_quadrants,
     snap_partition,
 )
-from torusdyn.lattice import LatticeConfig, TorusPoint, matrix_power_mod, orbit_period
+from torusdyn.lattice import (
+    DEFAULT_CAPACITY,
+    LatticeConfig,
+    TorusPoint,
+    _index_dtype,
+    build_permutation,
+    matrix_power_mod,
+    orbit_period,
+)
 from torusdyn.maps import ToralMatrix, cat_map, matrix_power_entries, _step
 
-from conftest import egorov_defect_exact_mesh, orbit_period_cycle_walk
+from conftest import (
+    egorov_defect_exact_mesh,
+    orbit_atoms_step_walk,
+    orbit_period_cycle_walk,
+    permutation_table_python_int,
+)
 
 UNIMODULAR = [
     ToralMatrix(*m)
@@ -142,6 +159,52 @@ def test_orbit_period_acceptance_matrices_small_sizes():
             assert orbit_period(T, LatticeConfig(size)) == orbit_period_cycle_walk(T, size), (
                 T, size,
             )
+
+
+# --- the permutation table and the walk on it ------------------------------------
+
+
+def test_build_permutation_matches_python_int_oracle():
+    # Every unimodular matrix with entries in [-5, 5] but plus or minus the
+    # identity (which ToralMatrix rejects), each on one size; the sizes
+    # cycle through 2..100 (LatticeConfig refuses N = 1).
+    for i, T in enumerate(UNIMODULAR):
+        size = 2 + i % 99
+        forward = build_permutation(T, LatticeConfig(size)).forward
+        assert forward.dtype == _index_dtype(size * size)
+        assert forward.tolist() == permutation_table_python_int(T, size)
+
+
+SEAM_WRAPPING = parse_partition(
+    "rects:3/4,1/2,7/8,1/2;1/4,1/2,7/8,1/2;3/4,1/2,3/8,1/2;1/4,1/2,3/8,1/2"
+)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(st.none(), matrices),
+    st.integers(2, 64),
+    st.sampled_from([
+        partition_quadrants(),
+        partition_halves_x1(),
+        partition_halves_x2(),
+        partition_bands_x2(3),
+        partition_bands_x2(5),
+        SEAM_WRAPPING,
+    ]),
+    st.integers(1, 8),
+)
+def test_orbit_atoms_gather_equals_step_walk(T, size, partition, length):
+    try:
+        snapped, _ = snap_partition(partition, size)
+    except ValueError:  # too coarse a lattice to resolve the partition
+        assume(False)
+    weights = cell_weights(snapped, LatticeConfig(size))
+    got = list(_orbit_atoms(T, weights, length, DEFAULT_CAPACITY))
+    want = list(orbit_atoms_step_walk(T, weights, length))
+    assert len(got) == len(want) == length
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 # --- the word counter ------------------------------------------------------------
