@@ -42,7 +42,6 @@ from .maps import (
     SpectralData,
     ToralMatrix,
     classify,
-    matrix_power_entries,
     scaling_function,
     _step,
 )
@@ -70,6 +69,11 @@ __all__ = [
 # work arrays stay small; the block size is fixed, which keeps float
 # accumulation order (and hence output bytes) reproducible.
 _MESH_BLOCK = 1 << 22
+
+
+# Drawn points are multiples of 2**-53: their numerators a = x * 2**53 as
+# uint64 arrays step exactly mod _DYADIC.
+_DYADIC = 1 << 53
 
 
 class ThresholdUnmetError(ValueError):
@@ -195,6 +199,11 @@ def discretize_aw(f: Observable, cfg: LatticeConfig, quadrature: int = 1) -> Dia
         stop = min(start + rows_per_block, n)
         xs = coords[start:stop].ravel()  # (rows*q,)
         vals = np.asarray(f(xs[:, None], flat[None, :]))
+        if vals.shape in ((xs.size, 1), (1, flat.size)):
+            # One coordinate read: average along its axis, spread across the other.
+            rows, cols = (stop - start, 1) if vals.shape[1] == 1 else (1, n)
+            entries[start:stop] = vals.reshape(rows, cols, q).mean(axis=2)
+            continue
         vals = np.broadcast_to(vals, (xs.size, flat.size))  # (rows*q, n*q)
         vals = vals.reshape(stop - start, q, n, q)
         entries[start:stop] = vals.mean(axis=(1, 3))
@@ -387,7 +396,8 @@ def check_dynamical_localization(
     When N exceeds the family threshold N_M(n) the count must be zero: the
     lattice image of x's cell cannot reach the cell of any y that far away.
     Below the threshold, hits are possible and quantify the loss of
-    localization.  Deterministic for a fixed seed.
+    localization.  T**n x is exact: T**n mod 2**53 applied to the 53-bit
+    numerators of the drawn x.  Deterministic for a fixed seed.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -395,9 +405,9 @@ def check_dynamical_localization(
     rng = np.random.default_rng(seed)
     xs = rng.random((trials, 2))
     ys = rng.random((trials, 2))
-    m_float = tuple(float(v) for v in matrix_power_entries(T, steps))
-    tx1, tx2 = _step(m_float, xs[:, 0], xs[:, 1], 1.0)
-    far = torus_distance_arrays(tx1, tx2, ys[:, 0], ys[:, 1]) >= d0
+    a1, a2 = np.ascontiguousarray((xs * 2.0**53).astype(np.uint64).T)
+    tx1, tx2 = _step(matrix_power_mod(T, steps, _DYADIC), a1, a2, _DYADIC)
+    far = torus_distance_arrays(tx1 / _DYADIC, tx2 / _DYADIC, ys[:, 0], ys[:, 1]) >= d0
     hits = kernel_many(T, cfg, steps, xs[:, 0], xs[:, 1], ys[:, 0], ys[:, 1]) == 1
     threshold = localization_threshold(data, steps, d0)
     scaling = scaling_function(data, steps) if steps >= 1 else 0.0
@@ -458,8 +468,9 @@ def check_orbit_shadowing(
 
     The distance between the continuous orbit of x and the lattice orbit of
     its rounding, divided by the guaranteed bound threshold/(2N), must stay
-    at or below 1.  Requires N strictly above the family threshold, else
-    ThresholdUnmetError.
+    at or below 1.  The continuous orbit is exact: T mod 2**53 stepped on
+    the 53-bit numerators of the drawn x.  Requires N strictly above the
+    family threshold, else ThresholdUnmetError.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -476,19 +487,18 @@ def check_orbit_shadowing(
     bound = threshold / (2.0 * size)
     rng = np.random.default_rng(seed)
     xs = rng.random((trials, 2))
-    cont1 = xs[:, 0].copy()
-    cont2 = xs[:, 1].copy()
-    p1 = round_coordinates(cont1, size)
-    p2 = round_coordinates(cont2, size)
+    a1, a2 = np.ascontiguousarray((xs * 2.0**53).astype(np.uint64).T)
+    p1 = round_coordinates(xs[:, 0], size)
+    p2 = round_coordinates(xs[:, 1], size)
     one = matrix_power_mod(T, 1, size)
-    max_distance = float(
-        torus_distance_arrays(cont1, cont2, p1 / size, p2 / size).max()
-    )
-    for _ in range(steps):
-        cont1, cont2 = _step(T.entries, cont1, cont2, 1.0)
-        p1, p2 = _step(one, p1, p2, size)
-        dist = float(torus_distance_arrays(cont1, cont2, p1 / size, p2 / size).max())
-        max_distance = max(max_distance, dist)
+    one_dyadic = matrix_power_mod(T, 1, _DYADIC)
+    max_distance = 0.0
+    for k in range(steps + 1):
+        if k:
+            a1, a2 = _step(one_dyadic, a1, a2, _DYADIC)
+            p1, p2 = _step(one, p1, p2, size)
+        dist = torus_distance_arrays(a1 / _DYADIC, a2 / _DYADIC, p1 / size, p2 / size)
+        max_distance = max(max_distance, float(dist.max()))
     return ShadowingReport(
         matrix=T.entries,
         family=data.family.value,

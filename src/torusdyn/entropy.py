@@ -551,17 +551,15 @@ def _entropy_of_fractions(values: list[Fraction]) -> float:
 def shannon_entropy(table: Union[ProbabilityTable, Sequence[Fraction]]) -> float:
     """Shannon entropy in nats.
 
-    Count-backed tables with small support take the canonical exact path
-    (sorted rational masses), so equal distributions give bit-identical
-    entropies; everything else uses the vectorized float path.
+    Count-backed tables with small support take the canonical exact path:
+    count/total is the correctly rounded mass and `math.fsum` is correctly
+    rounded in any order, so equal distributions give bit-identical
+    entropies.  Everything else uses the vectorized float path.
     """
     if not isinstance(table, ProbabilityTable):
         return _entropy_of_fractions([Fraction(v) for v in table])
     if table.is_exact and table.support_size <= _EXACT_SUPPORT_CAP:
-        total = int(table.total)
-        return _entropy_of_fractions(
-            [Fraction(int(c), total) for c in table.counts]
-        )
+        return math.fsum(-p * math.log(p) for p in (table.counts / table.total).tolist() if p)
     p = table.probs[table.probs > 0]
     return float(-(p * np.log(p)).sum())
 
@@ -582,22 +580,48 @@ def _classical_atom_matrix(
     length: int,
     samples: int,
     seed,
+    weights: Optional[CellWeightTable] = None,
 ) -> np.ndarray:
-    """uint8 matrix (samples, length): atom of T**k(x) for random x."""
+    """uint8 matrix (length, samples): atom of T**k(x) for random x, exactly.
+
+    x = a / 2**bits, the leading bits of the draws x1 then x2 (multiples of
+    2**-53) as uint64 numerators a, so T x = (T a mod 2**bits) / 2**bits
+    (Percival and Vivaldi, Physica D 25, 1987) is `_step` mod 2**bits.  With
+    the aligned `weights` of a partition snapped to N x N, x lies in the atom
+    of cell ((2N a + 2**bits) >> (bits + 1)) mod N, where bits = min(53, 64 -
+    bit_length(2N)) keeps 2N a + 2**bits below 2**64; otherwise bits = 53 and
+    `partition.atom_index` reads the exact floats a 2**-53.  Being the lattice
+    orbit at side 2**bits, it stops imitating a hyperbolic T near n = 2 bits
+    log 2 / xi (72.0 steps of the cat map at 50 bits): longer words raise
+    ValueError.
+    """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    bits = 53 if weights is None else min(53, 64 - (2 * weights.cfg.size).bit_length())
+    xi = classify(T).xi if T is not None else 0.0
+    if xi and length >= 2 * bits * math.log(2) / xi:
+        raise ValueError(f"word length {length} reaches the {2 * bits * math.log(2) / xi:.1f}-"
+                         f"step horizon of {bits}-bit dyadic orbits of {T}")
     rng = np.random.default_rng(seed)
-    x1 = rng.random(samples)
-    x2 = rng.random(samples)
-    out = np.empty((samples, length), dtype=np.uint8)
+    a1 = (rng.random(samples) * 2.0**53).astype(np.uint64) >> (53 - bits)
+    a2 = (rng.random(samples) * 2.0**53).astype(np.uint64) >> (53 - bits)
+    if weights is not None:
+        size = weights.cfg.size
+        # Cell index N is cell 0 past the seam: the table repeats row and column 0.
+        table = np.pad(weights.atom_of_cell.reshape(size, size), (0, 1), mode="wrap").ravel()
+    one = matrix_power_mod(T, 1, 1 << bits) if T is not None else None
+    out = np.empty((length, samples), dtype=np.uint8)
     for k in range(length):
-        out[:, k] = partition.atom_index(x1, x2)
-        if T is not None and k + 1 < length:
-            x1, x2 = _step(T.entries, x1, x2, 1.0)
-        elif T is None:
+        if k and one is None:
+            out[k:] = out[0]
             break
-    if T is None:
-        out[:] = out[:, :1]
+        if k:
+            a1, a2 = _step(one, a1, a2, 1 << bits)
+        if weights is None:
+            out[k] = partition.atom_index(a1 * 2.0**-53, a2 * 2.0**-53)
+        else:
+            c1, c2 = ((2 * size * a + (1 << bits)) >> (bits + 1) for a in (a1, a2))
+            out[k] = table[(c1 * (size + 1) + c2).view(np.int64)]
     return out
 
 
@@ -640,7 +664,7 @@ def classical_probabilities_mc(
     """
     _check_word_space(length, len(partition))
     atoms = _classical_atom_matrix(T, partition, length, samples, seed)
-    *_, codes = _word_codes(atoms.T, len(partition))
+    *_, codes = _word_codes(atoms, len(partition))
     return ProbabilityTable.from_counts(codes, length, len(partition))
 
 
@@ -690,7 +714,7 @@ def ks_entropy_rate(
     atoms = _classical_atom_matrix(T, partition, n_max, samples, seed)
     entropies = [0.0]
     supports = []
-    for n, codes in enumerate(_word_codes(atoms.T, d), 1):
+    for n, codes in enumerate(_word_codes(atoms, d), 1):
         table = ProbabilityTable.from_counts(codes, n, d)
         entropies.append(shannon_entropy(table))
         supports.append(table.support_size)
@@ -1049,9 +1073,9 @@ def compare_entropy_production(
         snapped, shift = snap_partition(partition, size)
         snap_shifts.append(shift)
         weights = cell_weights(snapped, cfg)
-        atoms_mc = _classical_atom_matrix(T, snapped, n_max, samples, children[i])
+        atoms_mc = _classical_atom_matrix(T, snapped, n_max, samples, children[i], weights)
         words = zip(
-            _word_codes(_orbit_atoms(T, weights, n_max, capacity), d), _word_codes(atoms_mc.T, d)
+            _word_codes(_orbit_atoms(T, weights, n_max, capacity), d), _word_codes(atoms_mc, d)
         )
         brk: Optional[int] = None
         for n, (cs_codes, ks_codes) in enumerate(words, 1):

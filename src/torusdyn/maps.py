@@ -108,10 +108,6 @@ class ToralMatrix:
     def negated(self) -> "ToralMatrix":
         return ToralMatrix(-self.t11, -self.t12, -self.t21, -self.t22)
 
-    def power_entries(self, n: int) -> tuple[int, int, int, int]:
-        """Entries of T**n as exact (arbitrary precision) integers."""
-        return matrix_power_entries(self, n)
-
     def apply(self, x1: float, x2: float) -> tuple[float, float]:
         """Image of a torus point under one application of the map, mod 1."""
         return _step(self.entries, x1, x2, 1.0)
@@ -142,10 +138,13 @@ def _step(m, x1, x2, modulus=None):
     """(x1, x2) -> m (x1, x2) for a row-major 2x2 matrix m, reduced mod `modulus`.
 
     The one implementation of the linear step: integer lattice points mod
-    N, torus points mod 1.0, and (with no modulus) exact matrix products.
+    N, dyadic numerators mod 2**k, and (with no modulus) exact matrix
+    products; the mod-1.0 float step only serves `ToralMatrix.apply`.
     Python integers are exact at any size.  Integer arrays must hold values
-    in [0, modulus); when the largest possible row sum
-    max(|m0| + |m1|, |m2| + |m3|) * (modulus - 1) would pass their dtype's
+    in [0, modulus).  Unsigned arrays with a power-of-two modulus within
+    their range (and m in [0, modulus)) wrap, exactly mod 2**k, and are
+    masked; otherwise, when the largest possible row sum
+    max(|m0| + |m1|, |m2| + |m3|) * (modulus - 1) would pass the dtype's
     range the step raises OverflowError instead of wrapping silently.
     Private, so that bench/tracer.py, which times every public function as
     its own layer, keeps this arithmetic in the caller's layer.
@@ -155,6 +154,10 @@ def _step(m, x1, x2, modulus=None):
     )
     if numpy_operand and isinstance(modulus, Integral):
         dtype = np.result_type(x1, x2)
+        bits = dtype.itemsize * 8
+        if dtype.kind == "u" and 0 < modulus <= 1 << bits and modulus & (modulus - 1) == 0:
+            mask = modulus - 1
+            return (m[0] * x1 + m[1] * x2) & mask, (m[2] * x1 + m[3] * x2) & mask
         reach = max(abs(m[0]) + abs(m[1]), abs(m[2]) + abs(m[3])) * (modulus - 1)
         if dtype.kind in "iu" and reach > np.iinfo(dtype).max:
             raise OverflowError(

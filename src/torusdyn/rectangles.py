@@ -65,29 +65,6 @@ class TorusRectangle:
             if not (_ZERO < value <= _ONE):
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
 
-    @classmethod
-    def from_bounds(
-        cls,
-        x_lo: RationalLike,
-        x_hi: RationalLike,
-        y_lo: RationalLike,
-        y_hi: RationalLike,
-    ) -> "TorusRectangle":
-        """Build from circle endpoints; hi <= lo means the arc wraps through 0."""
-        x_lo, x_hi = _as_fraction(x_lo), _as_fraction(x_hi)
-        y_lo, y_hi = _as_fraction(y_lo), _as_fraction(y_hi)
-        spans = []
-        for lo, hi in ((x_lo, x_hi), (y_lo, y_hi)):
-            if not (_ZERO <= lo < _ONE):
-                raise ValueError(f"interval start must lie in [0, 1), got {lo}")
-            if lo < hi <= _ONE:
-                spans.append(hi - lo)
-            elif _ZERO <= hi <= lo:
-                spans.append(hi - lo + 1)
-            else:
-                raise ValueError(f"bad interval bounds ({lo}, {hi})")
-        return cls(x_lo, spans[0], y_lo, spans[1])
-
     @property
     def area(self) -> Fraction:
         return self.x_span * self.y_span

@@ -12,7 +12,9 @@ of gathering on the permutation, and the cell-weight oracle takes exact
 `Fraction` overlaps instead of integer edge positions; `kernel_defect`
 evaluates the Egorov defect by the kernel route with its own single-step
 orbit walk, and `egorov_defect_exact_mesh` from every mesh point's exact
-integer orbit.
+integer orbit; the classical samplers are the former float walk mod 1.0 read
+through `Partition.atom_index`, and a Python-integer dyadic orbit read
+through rational atom membership.
 """
 from __future__ import annotations
 
@@ -60,6 +62,63 @@ def lattice_word_sampler_mc(
         if T is not None and k + 1 < length:
             p1, p2 = (t11 * p1 + t12 * p2) % size, (t21 * p1 + t22 * p2) % size
     return ProbabilityTable.from_counts(codes, length, alphabet)
+
+
+def classical_atom_matrix_float(
+    T,
+    partition: Partition,
+    length: int,
+    samples: int,
+    seed,
+) -> np.ndarray:
+    """uint8 matrix (samples, length): atom of T**k(x) for random x."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    x1 = rng.random(samples)
+    x2 = rng.random(samples)
+    out = np.empty((samples, length), dtype=np.uint8)
+    for k in range(length):
+        out[:, k] = partition.atom_index(x1, x2)
+        if T is not None and k + 1 < length:
+            x1, x2 = _step(T.entries, x1, x2, 1.0)
+        elif T is None:
+            break
+    if T is None:
+        out[:] = out[:, :1]
+    return out
+
+
+def classical_atoms_python_int(T, partition: Partition, x1, x2, length: int, bits: int):
+    """Atoms of the dyadic orbit of each drawn point, as (length, samples) nested lists.
+
+    The draws (multiples of 2**-53) are cut to `bits`-bit numerators
+    a = floor(x 2**bits); T a mod 2**bits is stepped in Python integers
+    with the matrix's own entries, and each point a / 2**bits is placed by
+    exact rational membership.
+    """
+    modulus = 1 << bits
+    points = [(int(u * 2**53) >> (53 - bits), int(v * 2**53) >> (53 - bits))
+              for u, v in zip(np.asarray(x1).tolist(), np.asarray(x2).tolist())]
+    rows = []
+    for _ in range(length):
+        rows.append([atom_of_point_exact(partition, a1 / modulus, a2 / modulus) for a1, a2 in points])
+        if T is not None:
+            t11, t12, t21, t22 = T.entries
+            points = [((t11 * a1 + t12 * a2) % modulus, (t21 * a1 + t22 * a2) % modulus)
+                      for a1, a2 in points]
+    return rows
+
+
+class ReplayedDraws(np.random.Generator):
+    """A generator whose `random` returns the given arrays, one per call."""
+
+    def __init__(self, *draws):
+        super().__init__(np.random.PCG64(0))
+        self._draws = iter(draws)
+
+    def random(self, size=None):
+        return next(self._draws)
 
 
 def _on_arc(value: Fraction, start: Fraction, span: Fraction) -> bool:

@@ -20,8 +20,10 @@ from torusdyn.discretize import (
     localization_threshold,
     shadowing_threshold,
 )
-from torusdyn.lattice import LatticeConfig, TorusPoint, orbit_period
-from torusdyn.maps import cat_map, classify, quarter_turn, unit_shear
+from torusdyn.lattice import (
+    LatticeConfig, TorusPoint, orbit_period, round_coordinates, torus_distance_arrays,
+)
+from torusdyn.maps import cat_map, classify, matrix_power_entries, quarter_turn, unit_shear
 from torusdyn.rectangles import (
     TorusRectangle,
     arc_pieces,
@@ -118,6 +120,22 @@ def test_linear_observable_cell_average_is_exact_at_any_quadrature():
         X = discretize_aw(f, cfg, quadrature=q)
         assert X.entries[cfg.index(1, 0)] == pytest.approx(0.25, abs=1e-15)
         assert X.entries[cfg.index(3, 2)] == pytest.approx(0.75, abs=1e-15)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_one_coordinate_observables_average_along_their_axis(q):
+    # The short path must give the cell averages of the full evaluation
+    # mesh: bit for bit at q = 1, 2, 4, within float reordering otherwise.
+    cfg = LatticeConfig(48)
+    for fn in (lambda x1, x2: np.sin(2 * np.pi * x1), lambda x1, x2: np.cos(2 * np.pi * x2) ** 3):
+        short = discretize_aw(Observable.from_function(fn, 1.0), cfg, q).entries
+        full = discretize_aw(Observable.from_function(
+            lambda x1, x2: np.broadcast_to(fn(x1, x2), np.broadcast(x1, x2).shape), 1.0
+        ), cfg, q).entries
+        if q in (1, 2, 4):
+            assert np.array_equal(short, full)
+        else:
+            assert np.abs(short - full).max() <= 4e-16
 
 
 def test_indicator_entries_exact():
@@ -315,6 +333,44 @@ def test_localization_deterministic_in_seed():
     a = check_dynamical_localization(CAT, LatticeConfig(64), 2, 2.0, 0.1, 5000, seed=9)
     b = check_dynamical_localization(CAT, LatticeConfig(64), 2, 2.0, 0.1, 5000, seed=9)
     assert a == b
+
+
+@pytest.mark.parametrize("steps, tested", [(30, 19361), (40, 19387)])
+def test_localization_far_test_uses_the_exact_image(steps, tested):
+    # T**n in floats drifted once its entries passed 2**53 and counted 19360
+    # and 19400; the recount steps the draws' 53-bit numerators in Python
+    # integers and measures distance as the check does.
+    rep = check_dynamical_localization(CAT, LatticeConfig(256), steps, 2.0, 0.1, 20_000, seed=5)
+    assert rep.tested_pairs == tested
+    rng = np.random.default_rng(5)
+    xs = rng.random((20_000, 2))
+    ys = rng.random((20_000, 2))
+    m = matrix_power_entries(CAT, steps)
+    top = 2**53
+    a = [(int(u * top), int(v * top)) for u, v in xs.tolist()]
+    t = np.array([((m[0] * a1 + m[1] * a2) % top / top, (m[2] * a1 + m[3] * a2) % top / top)
+                  for a1, a2 in a])
+    far = torus_distance_arrays(t[:, 0], t[:, 1], ys[:, 0], ys[:, 1]) >= 0.1
+    assert int(far.sum()) == tested
+
+
+@pytest.mark.parametrize("T, size, steps", [(CAT, 10_000, 3), (SHEAR, 1_000, 10)])
+def test_shadowing_walks_the_exact_orbit(T, size, steps):
+    rep = check_orbit_shadowing(T, LatticeConfig(size), steps, 5_000, seed=5)
+    xs = np.random.default_rng(5).random((5_000, 2))
+    top = 2**53
+    a = [(int(u * top), int(v * top)) for u, v in xs.tolist()]
+    p = list(zip(round_coordinates(xs[:, 0], size).tolist(),
+                 round_coordinates(xs[:, 1], size).tolist()))
+    t11, t12, t21, t22 = T.entries
+    worst = 0.0
+    for n in range(steps + 1):
+        if n:
+            a = [((t11 * u + t12 * v) % top, (t21 * u + t22 * v) % top) for u, v in a]
+            p = [((t11 * u + t12 * v) % size, (t21 * u + t22 * v) % size) for u, v in p]
+        x, q = np.array(a) / top, np.array(p) / size
+        worst = max(worst, float(torus_distance_arrays(x[:, 0], x[:, 1], q[:, 0], q[:, 1]).max()))
+    assert rep.max_distance == worst
 
 
 def test_shadowing_within_bound():

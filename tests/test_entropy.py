@@ -6,7 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from torusdyn.cli import EXIT_VALIDATION, main
 from torusdyn.entropy import (
+    _classical_atom_matrix,
     _probs_on_union,
     AlignmentRequiredError,
     DimensionMismatchError,
@@ -34,13 +36,14 @@ from torusdyn.entropy import (
     write_probability_csv,
 )
 from torusdyn.lattice import CapacityExceededError, LatticeConfig
-from torusdyn.maps import cat_map, classify, quarter_turn, unit_shear
+from torusdyn.maps import ToralMatrix, cat_map, classify, quarter_turn, unit_shear
 from torusdyn.rectangles import TorusRectangle
 
 from conftest import (
     atom_of_cell_bruteforce,
     atom_of_point_exact,
     cell_weights_fraction_oracle,
+    classical_atom_matrix_float,
     lattice_word_sampler_mc,
     probs_on_union_oracle,
 )
@@ -401,6 +404,44 @@ def test_ks_entropy_shear_and_rotation_stall():
     assert all(abs(v) < 1e-12 for v in shear.increments[1:])
     rot = ks_entropy_rate(ROT, partition_quadrants(), 6, 100_000, seed=17)
     assert all(abs(v) < 1e-12 for v in rot.increments[4:])
+
+
+@pytest.mark.parametrize("index, size", [(0, 256), (3, 2048)])
+def test_dyadic_sampler_matches_float_walk_on_the_ladder(index, size):
+    # The ladder's classical side at one size: cat map, quadrants snapped to
+    # the lattice, 20 steps, 200 000 samples from a child of the run's seed.
+    child = np.random.SeedSequence(5).spawn(4)[index]
+    snapped, _ = snap_partition(partition_quadrants(), size)
+    weights = cell_weights(snapped, LatticeConfig(size))
+    got = _classical_atom_matrix(CAT, snapped, 20, 200_000, child, weights)
+    want = classical_atom_matrix_float(CAT, snapped, 20, 200_000, child)
+    assert got.shape == (20, 200_000)
+    assert np.array_equal(got, want.T)
+
+
+def test_dyadic_horizon_refuses_long_hyperbolic_words(tmp_path, capsys):
+    # Dyadic orbits at b bits stop imitating T near 2 b log 2 / xi steps:
+    # 72.02 for the cat map at 50 bits (N = 4096), 41.68 for [[5,2],[2,1]]
+    # at 53 bits (unsnapped partitions) and 39.32 at 50 bits.
+    snapped, _ = snap_partition(partition_quadrants(), 4096)
+    weights = cell_weights(snapped, LatticeConfig(4096))
+    assert _classical_atom_matrix(CAT, snapped, 72, 10, 1, weights).shape == (72, 10)
+    with pytest.raises(ValueError, match="horizon"):
+        _classical_atom_matrix(CAT, snapped, 73, 10, 1, weights)
+    for T in (None, SHEAR, ROT):  # no expansion, no horizon
+        assert _classical_atom_matrix(T, snapped, 500, 10, 1, weights).shape == (500, 10)
+    steep = ToralMatrix(5, 2, 2, 1)
+    assert len(ks_entropy_rate(steep, partition_halves_x1(), 41, 10, seed=1).entropies) == 42
+    with pytest.raises(ValueError, match="horizon"):
+        ks_entropy_rate(steep, partition_halves_x1(), 42, 10, seed=1)
+    argv = ["entropy", "--matrix", "5", "2", "2", "1", "--partition", "halves-x1",
+            "--sizes", "4096", "--n-max", "40", "--samples", "10", "--seed", "1",
+            "--output", str(tmp_path / "e.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1 and lines[0].startswith("ValueError:")
+    assert not (tmp_path / "e.csv").exists()
 
 
 # --- continuity bound -----------------------------------------------------------------

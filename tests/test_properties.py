@@ -1,13 +1,16 @@
 """Properties of the shared lattice step, matrix powers, orbit periods, the
-permutation table and the orbit walk on it, word counter and Egorov defect.
+permutation table and the orbit walk on it, word counter, exact entropy,
+the dyadic classical sampler and Egorov defect.
 
 Random unimodular matrices with entries in [-5, 5] are checked against
 Python-integer, coordinate-walk, cycle-walk and exact-mesh oracles; the
 int64 overflow guard is checked at its boundary and through `kernel_many`
-and the CLI.
+and the CLI, and the unsigned power-of-two step against Python integers.
 """
+import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +20,10 @@ from hypothesis import strategies as st
 from torusdyn.cli import EXIT_VALIDATION, main, parse_partition
 from torusdyn.discretize import Observable, discretize_aw, egorov_defect, kernel, kernel_many
 from torusdyn.entropy import (
+    Partition,
+    ProbabilityTable,
+    _classical_atom_matrix,
+    _entropy_of_fractions,
     _orbit_atoms,
     cell_weights,
     cs_entropies,
@@ -25,6 +32,7 @@ from torusdyn.entropy import (
     partition_halves_x1,
     partition_halves_x2,
     partition_quadrants,
+    shannon_entropy,
     snap_partition,
 )
 from torusdyn.lattice import (
@@ -37,8 +45,11 @@ from torusdyn.lattice import (
     orbit_period,
 )
 from torusdyn.maps import ToralMatrix, cat_map, matrix_power_entries, _step
+from torusdyn.rectangles import TorusRectangle
 
 from conftest import (
+    ReplayedDraws,
+    classical_atoms_python_int,
     egorov_defect_exact_mesh,
     orbit_atoms_step_walk,
     orbit_period_cycle_walk,
@@ -94,6 +105,35 @@ def test_step_overflow_guard_boundary():
     # Python integers stay exact at any size.
     big = 10**30
     assert _step(shear, big - 1, big - 1, big) == ((2 * big - 2) % big, big - 1)
+
+
+@given(matrices, st.integers(-60, 60), st.integers(1, 64), st.data())
+def test_power_of_two_step_on_unsigned_arrays_is_exact(T, power, bits, data):
+    modulus = 1 << bits
+    m = matrix_power_mod(T, power, modulus)
+    coordinate = st.one_of(st.integers(0, modulus - 1), st.just(modulus - 1))
+    points = data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=20))
+    a1 = np.array([a for a, _ in points], dtype=np.uint64)
+    a2 = np.array([b for _, b in points], dtype=np.uint64)
+    q1, q2 = _step(m, a1, a2, modulus)
+    assert q1.dtype == q2.dtype == np.uint64
+    for (a, b), u, v in zip(points, q1.tolist(), q2.tolist()):
+        assert (u, v) == ((m[0] * a + m[1] * b) % modulus, (m[2] * a + m[3] * b) % modulus)
+
+
+def test_step_guard_still_raises_off_the_unsigned_power_of_two_case():
+    cat = (2, 1, 1, 1)
+    three = np.array([3], dtype=np.uint64)
+    with pytest.raises(OverflowError):  # signed arrays
+        _step(cat, three.astype(np.int64), three.astype(np.int64), 1 << 62)
+    with pytest.raises(OverflowError):  # not a power of two
+        _step(cat, three, three, 3 << 62)
+    with pytest.raises(OverflowError):  # a power of two past the dtype's range
+        _step(cat, three.astype(np.uint32), three.astype(np.uint32), 1 << 33)
+    with pytest.raises(OverflowError):
+        _step(cat, three, three, 1 << 65)
+    q1, q2 = _step(cat, three.astype(np.uint32), three.astype(np.uint32), 1 << 32)
+    assert (q1.dtype, int(q1[0]), int(q2[0])) == (np.uint32, 9, 6)
 
 
 def test_kernel_many_refuses_int64_overflow():
@@ -223,6 +263,87 @@ def test_one_pass_entropies_equal_per_length_cs_entropy(T, size, partition, n_ma
     one_pass = cs_entropies(T, cfg, snapped, n_max)
     per_length = [cs_entropy(T, cfg, snapped, n) for n in range(1, n_max + 1)]
     assert one_pass == per_length
+
+
+# --- exact entropy and the dyadic classical sampler ------------------------------
+
+
+@given(st.lists(st.one_of(st.integers(1, 20), st.integers(1, 1 << 40)), min_size=1, max_size=300))
+def test_exact_path_entropy_equals_sorted_fractions(counts):
+    total = sum(counts)
+    arr = np.array(counts, dtype=np.int64)
+    table = ProbabilityTable(length=9, alphabet=2, codes=np.arange(arr.size), probs=arr / total,
+                             counts=arr, total=total)
+    got = shannon_entropy(table)
+    want = _entropy_of_fractions([Fraction(c, total) for c in counts])
+    assert got.hex() == want.hex()
+
+
+PRESETS = [
+    partition_quadrants(),
+    partition_halves_x1(),
+    partition_halves_x2(),
+    partition_bands_x2(3),
+    partition_bands_x2(5),
+    SEAM_WRAPPING,
+]
+
+
+def _seam_split(size: int) -> Partition:
+    """Four aligned atoms whose edge (2N - 1)/(2N) parts cell N - 1 from cell 0."""
+    edge, half = Fraction(2 * size - 1, 2 * size), Fraction((size - 1) // 2 + 1, size)
+    arcs = ((edge, half), ((edge + half) % 1, 1 - half))
+    return Partition(tuple(TorusRectangle(xs, xw, ys, yw) for xs, xw in arcs for ys, yw in arcs))
+
+
+@functools.lru_cache(maxsize=None)
+def _snapped_weights(preset: int, size: int):
+    if preset == len(PRESETS):
+        snapped = _seam_split(size)
+    else:
+        snapped, _ = snap_partition(PRESETS[preset], size)
+    return snapped, cell_weights(snapped, LatticeConfig(size))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(st.none(), matrices),
+    st.one_of(st.integers(2, 64), st.sampled_from([1000, 3000, 4096]), st.none()),
+    st.integers(0, len(PRESETS)),
+    st.integers(1, 10),
+    st.data(),
+)
+def test_dyadic_sampler_equals_python_int_orbit(T, size, preset, length, data):
+    # size None: a preset as given (bands-x2:3 and :5 have non-dyadic edges),
+    # read by `atom_index` at 53 bits; otherwise a preset snapped to N x N or
+    # the seam split, read by cell (N = 3000 and 4096 cut the draws to 51
+    # and 50 bits).
+    if size is None:
+        partition, weights, bits = PRESETS[preset % len(PRESETS)], None, 53
+    else:
+        try:
+            partition, weights = _snapped_weights(preset, size)
+        except ValueError:  # too coarse a lattice to resolve the partition
+            assume(False)
+        bits = min(53, 64 - (2 * size).bit_length())
+    # Numerators at the seam (2**bits - 1 reads as cell 0), at zero and on
+    # both sides of cell edges, besides uniform ones; every example holds
+    # the largest draw 1 - 2**-53 on each axis.
+    top, low_top = (1 << bits) - 1, (1 << (53 - bits)) - 1
+    special = [0, top]
+    if size is not None:
+        for j in (0, size // 2, size - 1):
+            edge = ((2 * j + 1) << bits) // (2 * size)
+            special += [edge - 1, edge, edge + 1]
+    numerator = st.one_of(st.integers(0, (1 << bits) - 1), st.sampled_from(special))
+    low = st.integers(0, low_top)
+    points = data.draw(st.lists(st.tuples(numerator, low, numerator, low), max_size=30))
+    points += [(top, low_top, top, low_top), (top, low_top, 0, 0), (0, 0, top, low_top)]
+    x1 = np.array([((a << (53 - bits)) | r) / 2**53 for a, r, _, _ in points])
+    x2 = np.array([((b << (53 - bits)) | r) / 2**53 for _, _, b, r in points])
+    got = _classical_atom_matrix(T, partition, length, x1.size, ReplayedDraws(x1, x2), weights)
+    assert got.dtype == np.uint8 and got.shape == (length, x1.size)
+    assert got.tolist() == classical_atoms_python_int(T, partition, x1, x2, length, bits)
 
 
 # --- the Egorov defect -----------------------------------------------------------
