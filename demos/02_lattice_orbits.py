@@ -22,19 +22,19 @@ def main() -> None:
     print(f"map {CAT.entries}, family {data.family.value}\n")
 
     cfg = LatticeConfig(5)
-    perm = build_permutation(CAT, cfg)
+    f = build_permutation(CAT, cfg).forward
     print("action on the 5 x 5 lattice (cell -> image cell):")
     for p1 in range(5):
         row = []
         for p2 in range(5):
-            q = int(perm.apply(cfg.index(p1, p2)))
+            q = int(f[cfg.index(p1, p2)])
             row.append(f"({p1},{p2})->({q // 5},{q % 5})")
         print("  " + "  ".join(row))
     print()
 
-    # group law: permutation of T^3 equals third power of permutation of T
+    # group law: permutation of T^3 equals the table of T gathered on itself twice
     cubed = ToralMatrix(*matrix_power_entries(CAT, 3))
-    assert build_permutation(cubed, cfg).forward.tolist() == perm.power(3).forward.tolist()
+    assert build_permutation(cubed, cfg).forward.tolist() == f[f[f]].tolist()
     print("permutation(T^3) == permutation(T)^3 on the lattice: verified\n")
 
     print("orbit period of the permutation vs lattice size:")

@@ -17,12 +17,10 @@ from .lattice import (
     TorusPoint,
     build_permutation,
     discrete_step,
-    identity_permutation,
     matrix_power_mod,
     orbit_period,
     round_coordinates,
     round_to_lattice,
-    torus_distance,
     torus_distance_arrays,
 )
 from .maps import (
@@ -45,10 +43,7 @@ from .rectangles import (
     TorusRectangle,
     arc_pieces,
     cell_interval_pieces,
-    clip_polygon_halfplane,
-    clip_polygon_to_box,
     pieces_overlap,
-    polygon_area,
     rectangle_overlap_area,
 )
 from .discretize import (
@@ -59,8 +54,6 @@ from .discretize import (
     ThresholdUnmetError,
     check_dynamical_localization,
     check_orbit_shadowing,
-    dediscretize_aw,
-    dediscretize_many,
     discretize_aw,
     egorov_defect,
     kernel,
@@ -77,14 +70,10 @@ from .entropy import (
     Partition,
     ProbabilityTable,
     cell_weights,
-    classical_probabilities_mc,
     compare_entropy_production,
+    cs_entropies,
     cs_entropy,
     cs_probabilities,
-    decode_word,
-    encode_word,
-    entropy_components,
-    exact_refinement_probabilities,
     fannes_bound,
     is_aligned,
     ks_entropy_rate,
@@ -95,7 +84,6 @@ from .entropy import (
     partition_quadrants,
     shannon_entropy,
     snap_partition,
-    write_probability_csv,
 )
 
 __version__ = "0.1.0"
@@ -110,26 +98,22 @@ __all__ = [
     # lattice
     "DEFAULT_CAPACITY", "CapacityExceededError", "LatticeConfig",
     "LatticePoint", "Permutation", "TorusPoint", "build_permutation",
-    "discrete_step", "identity_permutation", "matrix_power_mod",
-    "orbit_period", "round_coordinates", "round_to_lattice",
-    "torus_distance", "torus_distance_arrays",
+    "discrete_step", "matrix_power_mod", "orbit_period",
+    "round_coordinates", "round_to_lattice", "torus_distance_arrays",
     # rectangles
-    "TorusRectangle", "arc_pieces", "cell_interval_pieces",
-    "clip_polygon_halfplane", "clip_polygon_to_box", "pieces_overlap",
-    "polygon_area", "rectangle_overlap_area",
+    "TorusRectangle", "arc_pieces", "cell_interval_pieces", "pieces_overlap",
+    "rectangle_overlap_area",
     # discretize
     "DiagonalObservable", "LocalizationReport", "Observable",
     "ShadowingReport", "ThresholdUnmetError", "check_dynamical_localization",
-    "check_orbit_shadowing", "dediscretize_aw", "dediscretize_many",
-    "discretize_aw", "egorov_defect", "kernel", "kernel_many",
-    "localization_threshold", "shadowing_threshold",
+    "check_orbit_shadowing", "discretize_aw", "egorov_defect", "kernel",
+    "kernel_many", "localization_threshold", "shadowing_threshold",
     # entropy
     "AlignmentRequiredError", "CellWeightTable", "DimensionMismatchError",
     "EntropyComparison", "KSEntropyReport", "Partition", "ProbabilityTable",
-    "cell_weights", "classical_probabilities_mc", "compare_entropy_production",
-    "cs_entropy", "cs_probabilities", "decode_word", "encode_word",
-    "entropy_components", "exact_refinement_probabilities", "fannes_bound",
-    "is_aligned", "ks_entropy_rate", "partition_bands_x2", "partition_entropy",
+    "cell_weights", "compare_entropy_production", "cs_entropies",
+    "cs_entropy", "cs_probabilities", "fannes_bound", "is_aligned",
+    "ks_entropy_rate", "partition_bands_x2", "partition_entropy",
     "partition_halves_x1", "partition_halves_x2", "partition_quadrants",
-    "shannon_entropy", "snap_partition", "write_probability_csv",
+    "shannon_entropy", "snap_partition",
 ]

@@ -2,9 +2,8 @@
 
 A bounded function f on the torus becomes a diagonal observable on the N x N
 lattice by averaging over cells: entry(p) = N^2 * integral of f over the
-half-open 1/N-cell centered at p/N.  The reverse direction turns a diagonal
-observable into the step function that is constant on each cell.  Both maps
-send the constant one to the constant one and preserve positivity.
+half-open 1/N-cell centered at p/N.  The map sends the constant one to the
+constant one and preserves positivity.
 
 The two-point correspondence kernel K(x, y) is 1 exactly when n discrete
 steps carry the cell of x onto the cell of y, else 0.  Three diagnostics
@@ -30,7 +29,6 @@ import numpy as np
 
 from .lattice import (
     LatticeConfig,
-    LatticePoint,
     TorusPoint,
     matrix_power_mod,
     round_coordinates,
@@ -45,15 +43,13 @@ from .maps import (
     scaling_function,
     _step,
 )
-from .rectangles import TorusRectangle, cell_interval_pieces, pieces_overlap
+from .rectangles import TorusRectangle, _cell_overlaps
 
 __all__ = [
     "ThresholdUnmetError",
     "Observable",
     "DiagonalObservable",
     "discretize_aw",
-    "dediscretize_aw",
-    "dediscretize_many",
     "kernel",
     "kernel_many",
     "egorov_defect",
@@ -139,13 +135,6 @@ class DiagonalObservable:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
-    def entry(self, p: LatticePoint) -> complex:
-        return self.entries[self.cfg.index(p.p1, p.p2)]
-
-    def lattice_mean(self) -> complex:
-        """The normalized trace (uniform lattice state) of the observable."""
-        return self.entries.mean()
-
 
 def _cell_axis_coordinates(n: int, quadrature: int) -> np.ndarray:
     """Midpoint sub-grid coordinates along one axis, grouped by cell.
@@ -160,17 +149,10 @@ def _cell_axis_coordinates(n: int, quadrature: int) -> np.ndarray:
 
 def _indicator_entries(rects: tuple[TorusRectangle, ...], cfg: LatticeConfig) -> np.ndarray:
     """Exact cell averages of an indicator: N^2 * overlap(cell, rectangles)."""
-    n = cfg.size
     entries = np.zeros(cfg.points)
-    cell_x = [cell_interval_pieces(p, n) for p in range(n)]
     for rect in rects:
-        wx = np.array(
-            [float(n * pieces_overlap(cell_x[p], rect.x_pieces())) for p in range(n)]
-        )
-        wy = np.array(
-            [float(n * pieces_overlap(cell_x[p], rect.y_pieces())) for p in range(n)]
-        )
-        entries += np.kron(wx, wy)
+        wx, wy = _cell_overlaps((rect.x_pieces(), rect.y_pieces()), cfg.size)
+        entries += np.kron(np.array(wx, dtype=float), np.array(wy, dtype=float))
     return entries
 
 
@@ -208,19 +190,6 @@ def discretize_aw(f: Observable, cfg: LatticeConfig, quadrature: int = 1) -> Dia
         vals = vals.reshape(stop - start, q, n, q)
         entries[start:stop] = vals.mean(axis=(1, 3))
     return DiagonalObservable(cfg, entries.ravel())
-
-
-def dediscretize_aw(X: DiagonalObservable, x: TorusPoint) -> complex:
-    """Value at x of the step function built from X: the entry of x's cell."""
-    p = round_to_lattice(x, X.cfg)
-    return X.entries[X.cfg.index(p.p1, p.p2)]
-
-
-def dediscretize_many(X: DiagonalObservable, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Vectorized step-function evaluation for coordinate arrays in [0, 1)."""
-    n = X.cfg.size
-    idx = round_coordinates(x1, n) * n + round_coordinates(x2, n)
-    return X.entries[idx]
 
 
 def kernel(T: ToralMatrix, cfg: LatticeConfig, n: int, x: TorusPoint, y: TorusPoint) -> int:

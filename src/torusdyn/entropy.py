@@ -29,14 +29,7 @@ from .lattice import (
     DEFAULT_CAPACITY, CapacityExceededError, LatticeConfig, build_permutation, matrix_power_mod,
 )
 from .maps import Family, ToralMatrix, classify, _step
-from .rectangles import (
-    TorusRectangle,
-    cell_interval_pieces,
-    clip_polygon_to_box,
-    pieces_overlap,
-    polygon_area,
-    rectangle_overlap_area,
-)
+from .rectangles import TorusRectangle, _cell_overlaps, rectangle_overlap_area
 
 __all__ = [
     "AlignmentRequiredError",
@@ -51,22 +44,16 @@ __all__ = [
     "CellWeightTable",
     "cell_weights",
     "ProbabilityTable",
-    "encode_word",
-    "decode_word",
     "shannon_entropy",
     "partition_entropy",
-    "classical_probabilities_mc",
     "KSEntropyReport",
     "ks_entropy_rate",
     "cs_probabilities",
     "cs_entropy",
     "cs_entropies",
-    "entropy_components",
     "EntropyComparison",
     "compare_entropy_production",
     "fannes_bound",
-    "exact_refinement_probabilities",
-    "write_probability_csv",
 ]
 
 DEFAULT_UNALIGNED_CAP = 4096
@@ -363,15 +350,10 @@ def cell_weights(partition: Partition, cfg: LatticeConfig) -> CellWeightTable:
             )
         atom_map = atom_map.ravel()
     else:
-        cell_pieces = [cell_interval_pieces(p, size) for p in range(size)]
-        wx_frac = [
-            [size * pieces_overlap(cell_pieces[p], atom.x_pieces()) for p in range(size)]
-            for atom in partition.atoms
-        ]
-        wy_frac = [
-            [size * pieces_overlap(cell_pieces[p], atom.y_pieces()) for p in range(size)]
-            for atom in partition.atoms
-        ]
+        arcs = [atom.x_pieces() for atom in partition.atoms]
+        arcs += [atom.y_pieces() for atom in partition.atoms]
+        overlaps = _cell_overlaps(arcs, size)
+        wx_frac, wy_frac = overlaps[:d], overlaps[d:]
         # Exact sanity check on a few cells.
         for p1 in (0, size // 2, size - 1):
             for p2 in (0, size // 2, size - 1):
@@ -397,27 +379,6 @@ def cell_weights(partition: Partition, cfg: LatticeConfig) -> CellWeightTable:
 # ---------------------------------------------------------------------------
 # Probability tables
 # ---------------------------------------------------------------------------
-
-
-def encode_word(word: Sequence[int], alphabet: int) -> int:
-    """Pack symbols into a code, step-k symbol at significance alphabet**k."""
-    code = 0
-    for k, s in enumerate(word):
-        if not 0 <= s < alphabet:
-            raise ValueError(f"symbol {s} outside alphabet of size {alphabet}")
-        code += s * alphabet**k
-    return code
-
-
-def decode_word(code: int, length: int, alphabet: int) -> tuple[int, ...]:
-    """Inverse of encode_word: tuple whose k-th entry is the step-k symbol."""
-    word = []
-    for _ in range(length):
-        word.append(code % alphabet)
-        code //= alphabet
-    if code:
-        raise ValueError("code does not fit in the given word length")
-    return tuple(word)
 
 
 def _check_word_space(length: int, alphabet: int) -> None:
@@ -649,25 +610,6 @@ def _word_codes(symbol_steps, alphabet: int):
         yield codes
 
 
-def classical_probabilities_mc(
-    T: Optional[ToralMatrix],
-    partition: Partition,
-    length: int,
-    samples: int,
-    seed,
-) -> ProbabilityTable:
-    """Monte Carlo word distribution of the continuous dynamics.
-
-    Samples uniform starting points, records the atom visited at each of
-    `length` steps, and histograms packed words.  Deterministic for a
-    fixed seed.
-    """
-    _check_word_space(length, len(partition))
-    atoms = _classical_atom_matrix(T, partition, length, samples, seed)
-    *_, codes = _word_codes(atoms, len(partition))
-    return ProbabilityTable.from_counts(codes, length, len(partition))
-
-
 @dataclass(frozen=True)
 class KSEntropyReport:
     """Classical entropy growth S(n) for n = 0..n_max and derived rates."""
@@ -861,33 +803,6 @@ def cs_entropies(
         shannon_entropy(ProbabilityTable.from_counts(codes, n, d))
         for n, codes in enumerate(_word_codes(_orbit_atoms(T, weights, n_max, capacity), d), 1)
     ]
-
-
-def entropy_components(
-    T: Optional[ToralMatrix],
-    cfg: LatticeConfig,
-    partition: Partition,
-    length: int,
-    **kwargs,
-) -> dict:
-    """Split lattice word entropy into readout and dynamical parts.
-
-    The one-step entropy is pure measurement (partition resolution as seen
-    through the lattice); growth beyond it is generated by the dynamics.
-    """
-    weights = kwargs.pop("weights", None) or cell_weights(partition, cfg)
-    s1 = cs_entropy(T, cfg, partition, 1, weights=weights, **kwargs)
-    total = s1 if length == 1 else cs_entropy(
-        T, cfg, partition, length, weights=weights, **kwargs
-    )
-    per_step = (total - s1) / (length - 1) if length > 1 else 0.0
-    return {
-        "length": length,
-        "total": total,
-        "measurement": s1,
-        "dynamical": total - s1,
-        "per_step_dynamical": per_step,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -1137,93 +1052,3 @@ def compare_entropy_production(
         fannes_violations=fannes_violations,
         fannes_min_margin=float(fannes_min_margin),
     )
-
-
-# ---------------------------------------------------------------------------
-# Exact small-length classical probabilities (geometry oracle)
-# ---------------------------------------------------------------------------
-
-
-def _axis_rectangles(rect: TorusRectangle) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """Atom as plain boxes (x_lo, x_hi, y_lo, y_hi) inside [0, 1]^2."""
-    return [
-        (xs, xe, ys, ye)
-        for xs, xe in rect.x_pieces()
-        for ys, ye in rect.y_pieces()
-    ]
-
-
-def exact_refinement_probabilities(
-    T: Optional[ToralMatrix], partition: Partition, length: int
-) -> dict[int, Fraction]:
-    """Exact rational word probabilities of the continuous dynamics.
-
-    Supports length 1 (atom areas) and length 2: the joint mass of
-    (atom i at step 0, atom j at step 1) is the area of E_i intersected
-    with the pullback of E_j, computed by exact parallelogram clipping
-    over integer translates.  Packing follows the module convention
-    (code = i + j * alphabet).
-    """
-    d = len(partition)
-    if length == 1:
-        return {a: partition.atoms[a].area for a in range(d) if partition.atoms[a].area}
-    if length != 2:
-        raise ValueError("exact probabilities support lengths 1 and 2 only")
-    if T is None:
-        return {
-            a + a * d: partition.atoms[a].area
-            for a in range(d)
-            if partition.atoms[a].area
-        }
-    inv = T.inverse().entries
-    out: dict[int, Fraction] = {}
-    for j, atom_j in enumerate(partition.atoms):
-        # Pull each box of E_j back through the map: the preimage of a box
-        # is a parallelogram; intersect its integer translates with E_i.
-        pulled: list[list[tuple[Fraction, Fraction]]] = []
-        for (xs, xe, ys, ye) in _axis_rectangles(atom_j):
-            corners = [(xs, ys), (xe, ys), (xe, ye), (xs, ye)]
-            base = [
-                (inv[0] * cx + inv[1] * cy, inv[2] * cx + inv[3] * cy)
-                for cx, cy in corners
-            ]
-            lo1 = min(v[0] for v in base)
-            hi1 = max(v[0] for v in base)
-            lo2 = min(v[1] for v in base)
-            hi2 = max(v[1] for v in base)
-            for s1 in range(math.floor(-hi1), math.ceil(1 - lo1) + 1):
-                for s2 in range(math.floor(-hi2), math.ceil(1 - lo2) + 1):
-                    shifted = [(vx + s1, vy + s2) for vx, vy in base]
-                    clipped = clip_polygon_to_box(
-                        shifted, Fraction(0), Fraction(1), Fraction(0), Fraction(1)
-                    )
-                    if len(clipped) >= 3:
-                        pulled.append(clipped)
-        for i, atom_i in enumerate(partition.atoms):
-            area = Fraction(0)
-            for poly in pulled:
-                for (bxs, bxe, bys, bye) in _axis_rectangles(atom_i):
-                    piece = clip_polygon_to_box(poly, bxs, bxe, bys, bye)
-                    if len(piece) >= 3:
-                        area += abs(polygon_area(piece))
-            if area:
-                out[i + j * d] = out.get(i + j * d, Fraction(0)) + area
-    total = sum(out.values(), Fraction(0))
-    if total != 1:
-        raise AssertionError(f"exact word masses sum to {total}, expected 1")
-    return out
-
-
-def write_probability_csv(path, table: ProbabilityTable, header: Optional[dict] = None) -> None:
-    """Write a table as CSV: '# key=value' header lines, then code rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in (header or {}).items():
-            fh.write(f"# {key}={value}\n")
-        if table.is_exact:
-            fh.write("code,probability,count\n")
-            for c, p, k in zip(table.codes, table.probs, table.counts):
-                fh.write(f"{int(c)},{float(p)!r},{int(k)}\n")
-        else:
-            fh.write("code,probability\n")
-            for c, p in zip(table.codes, table.probs):
-                fh.write(f"{int(c)},{float(p)!r}\n")

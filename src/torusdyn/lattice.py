@@ -26,7 +26,6 @@ __all__ = [
     "LatticeConfig",
     "TorusPoint",
     "LatticePoint",
-    "torus_distance",
     "torus_distance_arrays",
     "round_to_lattice",
     "round_coordinates",
@@ -100,29 +99,15 @@ class LatticePoint:
                 raise ValueError(f"lattice coordinate {name} must be >= 0, got {value}")
             object.__setattr__(self, name, int(value))
 
-    def center(self, cfg: LatticeConfig) -> TorusPoint:
-        """The torus point p/N this lattice point represents."""
-        return TorusPoint(self.p1 / cfg.size, self.p2 / cfg.size)
-
-
-def torus_distance(a: TorusPoint, b: TorusPoint) -> float:
-    """Euclidean distance on the torus: minimize |a - b + shift| over unit shifts.
-
-    With both coordinates in [0, 1) the minimizing shift per coordinate is
-    whichever of {-1, 0, 1} folds the difference into [-1/2, 1/2], so the
-    distance is at most sqrt(2)/2.
-    """
-    d1 = abs(a.x1 - b.x1)
-    d1 = min(d1, 1.0 - d1)
-    d2 = abs(a.x2 - b.x2)
-    d2 = min(d2, 1.0 - d2)
-    return math.hypot(d1, d2)
-
 
 def torus_distance_arrays(
     ax1: np.ndarray, ax2: np.ndarray, bx1: np.ndarray, bx2: np.ndarray
 ) -> np.ndarray:
-    """Vectorized torus distance for coordinate arrays already in [0, 1)."""
+    """Torus distance of coordinate arrays already in [0, 1).
+
+    The minimizing unit shift per coordinate folds each difference into
+    [-1/2, 1/2], so the distance is at most sqrt(2)/2.
+    """
     d1 = np.abs(ax1 - bx1)
     d1 = np.minimum(d1, 1.0 - d1)
     d2 = np.abs(ax2 - bx2)
@@ -183,11 +168,10 @@ def _index_dtype(points: int):
 class Permutation:
     """A permutation of the N^2 lattice indices (row-major ell = p1*N + p2).
 
-    `forward[ell]` is the index of U(point(ell)).  Applied to the entry
-    vector of a diagonal observable, `evolve_diagonal` produces the entries
-    of the observable conjugated by one step of the lattice dynamics
-    (new[ell] = old[U(ell)]), which is how the unitary permutation operator
-    acts on diagonals.
+    `forward[ell]` is the index of U(point(ell)), so gathering a vector of
+    per-point values on it, new = old[forward], pulls them back by one step
+    of the lattice dynamics (new[ell] = old[U(ell)]), and `forward` gathered
+    on itself a times is the table of U**a.
     """
 
     cfg: LatticeConfig
@@ -207,56 +191,6 @@ class Permutation:
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "forward", arr)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.cfg == other.cfg and np.array_equal(self.forward, other.forward)
-
-    def apply(self, indices):
-        """Image of flat indices (scalar or array) under the permutation."""
-        return self.forward[indices]
-
-    def evolve_diagonal(self, entries: np.ndarray) -> np.ndarray:
-        """Entries of a diagonal observable after one conjugation step."""
-        entries = np.asarray(entries)
-        if entries.shape != (self.cfg.points,):
-            raise ValueError(
-                f"expected {self.cfg.points} diagonal entries, got shape {entries.shape}"
-            )
-        return entries[self.forward]
-
-    def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.forward)
-        inv[self.forward] = np.arange(self.cfg.points, dtype=self.forward.dtype)
-        return Permutation(self.cfg, inv)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: result(ell) = self(other(ell))."""
-        if self.cfg != other.cfg:
-            raise ValueError("cannot compose permutations of different lattices")
-        return Permutation(self.cfg, self.forward[other.forward])
-
-    def power(self, n: int) -> "Permutation":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = identity_permutation(self.cfg)
-        while n:
-            if n & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            n >>= 1
-        return result
-
-    @property
-    def is_identity(self) -> bool:
-        return bool(
-            np.array_equal(self.forward, np.arange(self.cfg.points, dtype=self.forward.dtype))
-        )
-
-
-def identity_permutation(cfg: LatticeConfig) -> Permutation:
-    return Permutation(cfg, np.arange(cfg.points, dtype=_index_dtype(cfg.points)))
 
 
 def build_permutation(

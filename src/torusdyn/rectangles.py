@@ -1,16 +1,15 @@
-"""Exact rational rectangles on the torus and polygon area helpers.
+"""Exact rational rectangles on the torus.
 
 Rectangles are products of half-open circle arcs, each stored as a start in
 [0, 1) plus a span in (0, 1], so an arc may wrap through the seam at 0.
 All geometry here is done in exact `fractions.Fraction` arithmetic: arc
-overlaps, rectangle overlap areas, and the convex polygon clipping used to
-compute exact areas of linear preimages of rectangles.
+overlaps, lattice cell overlaps along an axis, and rectangle overlap areas.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -20,9 +19,6 @@ __all__ = [
     "cell_interval_pieces",
     "pieces_overlap",
     "rectangle_overlap_area",
-    "polygon_area",
-    "clip_polygon_halfplane",
-    "clip_polygon_to_box",
 ]
 
 RationalLike = Union[int, str, Fraction]
@@ -117,6 +113,18 @@ def cell_interval_pieces(p: int, n: int) -> tuple[tuple[Fraction, Fraction], ...
     return arc_pieces(start, Fraction(1, n))
 
 
+def _cell_overlaps(
+    arcs: Iterable[tuple[tuple[Fraction, Fraction], ...]], n: int
+) -> list[list[Fraction]]:
+    """Per arc, n times its overlap with each 1/n cell interval p = 0..n-1.
+
+    These are exact per-cell weights along one axis: 1 inside the arc, 0
+    outside, and the covered fraction in the cells its ends cut.
+    """
+    cells = [cell_interval_pieces(p, n) for p in range(n)]
+    return [[n * pieces_overlap(cell, arc) for cell in cells] for arc in arcs]
+
+
 def pieces_overlap(
     a: Iterable[tuple[Fraction, Fraction]], b: Iterable[tuple[Fraction, Fraction]]
 ) -> Fraction:
@@ -137,63 +145,3 @@ def rectangle_overlap_area(a: TorusRectangle, b: TorusRectangle) -> Fraction:
     return pieces_overlap(a.x_pieces(), b.x_pieces()) * pieces_overlap(
         a.y_pieces(), b.y_pieces()
     )
-
-
-Point = tuple[Fraction, Fraction]
-
-
-def polygon_area(vertices: Sequence[Point]) -> Fraction:
-    """Unsigned area of a simple polygon by the exact shoelace sum."""
-    if len(vertices) < 3:
-        return _ZERO
-    twice = _ZERO
-    closed = list(vertices) + [vertices[0]]
-    for (x0, y0), (x1, y1) in zip(closed, closed[1:]):
-        twice += x0 * y1 - x1 * y0
-    return abs(twice) / 2
-
-
-def clip_polygon_halfplane(
-    vertices: Sequence[Point], a: Fraction, b: Fraction, c: Fraction
-) -> list[Point]:
-    """Clip a convex polygon to the half-plane a*x + b*y <= c, exactly.
-
-    Standard single-plane Sutherland-Hodgman step with rational
-    intersections; boundaries are kept (closed half-plane), which is
-    harmless for area computations.
-    """
-    result: list[Point] = []
-    count = len(vertices)
-    for i in range(count):
-        px, py = vertices[i]
-        qx, qy = vertices[(i + 1) % count]
-        p_in = a * px + b * py <= c
-        q_in = a * qx + b * qy <= c
-        if p_in:
-            result.append((px, py))
-        if p_in != q_in:
-            denom = a * (qx - px) + b * (qy - py)
-            t = (c - a * px - b * py) / denom
-            result.append((px + t * (qx - px), py + t * (qy - py)))
-    return result
-
-
-def clip_polygon_to_box(
-    vertices: Sequence[Point],
-    x_lo: Fraction,
-    x_hi: Fraction,
-    y_lo: Fraction,
-    y_hi: Fraction,
-) -> list[Point]:
-    """Clip a convex polygon to an axis-aligned box, exactly."""
-    poly = list(vertices)
-    for a, b, c in (
-        (Fraction(-1), _ZERO, -x_lo),
-        (Fraction(1), _ZERO, x_hi),
-        (_ZERO, Fraction(-1), -y_lo),
-        (_ZERO, Fraction(1), y_hi),
-    ):
-        poly = clip_polygon_halfplane(poly, a, b, c)
-        if len(poly) < 3:
-            return []
-    return poly

@@ -14,7 +14,13 @@ evaluates the Egorov defect by the kernel route with its own single-step
 orbit walk, and `egorov_defect_exact_mesh` from every mesh point's exact
 integer orbit; the classical samplers are the former float walk mod 1.0 read
 through `Partition.atom_index`, and a Python-integer dyadic orbit read
-through rational atom membership.
+through rational atom membership.  The geometry oracle,
+`exact_refinement_probabilities`, gives exact length-1 and length-2 word
+masses of the continuous map by Sutherland-Hodgman clipping of pulled-back
+boxes (`clip_polygon_halfplane`, `clip_polygon_to_box`) and the shoelace
+`polygon_area`, all in `Fraction` arithmetic.  `classical_probabilities_mc`
+is the library's own Monte Carlo word table at one length, composed from its
+sampler, word counter and histogram.
 """
 from __future__ import annotations
 
@@ -30,7 +36,7 @@ from torusdyn.discretize import (
     _cell_axis_coordinates,
     _indicator_entries,
 )
-from torusdyn.entropy import Partition, ProbabilityTable
+from torusdyn.entropy import Partition, ProbabilityTable, _classical_atom_matrix, _word_codes
 from torusdyn.lattice import LatticeConfig, matrix_power_mod, round_coordinates
 from torusdyn.maps import ToralMatrix, _step, matrix_power_entries
 from torusdyn.rectangles import TorusRectangle, cell_interval_pieces, pieces_overlap
@@ -348,3 +354,138 @@ def egorov_defect_exact_mesh(
     q2 = ((m[2] * p1 + m[3] * p2) % size).astype(np.int64)
     diff = np.broadcast_to(cont, (grid, grid)) - table.entries[q1 * size + q2]
     return math.sqrt(math.fsum((np.abs(diff) ** 2).ravel()) / (grid * grid))
+
+
+def classical_probabilities_mc(T, partition: Partition, length: int, samples: int, seed):
+    """Monte Carlo table of the continuous map's words of one length, from `seed`.
+
+    The library's sampler, word counter and histogram on the same
+    arguments, so the table is the one `ks_entropy_rate` reads at `length`.
+    """
+    atoms = _classical_atom_matrix(T, partition, length, samples, seed)
+    *_, codes = _word_codes(atoms, len(partition))
+    return ProbabilityTable.from_counts(codes, length, len(partition))
+
+
+Point = tuple[Fraction, Fraction]
+
+
+def polygon_area(vertices: list[Point]) -> Fraction:
+    """Unsigned area of a simple polygon by the exact shoelace sum."""
+    if len(vertices) < 3:
+        return Fraction(0)
+    twice = Fraction(0)
+    closed = list(vertices) + [vertices[0]]
+    for (x0, y0), (x1, y1) in zip(closed, closed[1:]):
+        twice += x0 * y1 - x1 * y0
+    return abs(twice) / 2
+
+
+def clip_polygon_halfplane(
+    vertices: list[Point], a: Fraction, b: Fraction, c: Fraction
+) -> list[Point]:
+    """Clip a convex polygon to the half-plane a*x + b*y <= c, exactly.
+
+    Standard single-plane Sutherland-Hodgman step with rational
+    intersections; boundaries are kept (closed half-plane), which is
+    harmless for area computations.
+    """
+    result: list[Point] = []
+    count = len(vertices)
+    for i in range(count):
+        px, py = vertices[i]
+        qx, qy = vertices[(i + 1) % count]
+        p_in = a * px + b * py <= c
+        q_in = a * qx + b * qy <= c
+        if p_in:
+            result.append((px, py))
+        if p_in != q_in:
+            denom = a * (qx - px) + b * (qy - py)
+            t = (c - a * px - b * py) / denom
+            result.append((px + t * (qx - px), py + t * (qy - py)))
+    return result
+
+
+def clip_polygon_to_box(
+    vertices: list[Point], x_lo: Fraction, x_hi: Fraction, y_lo: Fraction, y_hi: Fraction
+) -> list[Point]:
+    """Clip a convex polygon to an axis-aligned box, exactly."""
+    poly = list(vertices)
+    for a, b, c in (
+        (Fraction(-1), Fraction(0), -x_lo),
+        (Fraction(1), Fraction(0), x_hi),
+        (Fraction(0), Fraction(-1), -y_lo),
+        (Fraction(0), Fraction(1), y_hi),
+    ):
+        poly = clip_polygon_halfplane(poly, a, b, c)
+        if len(poly) < 3:
+            return []
+    return poly
+
+
+def _axis_rectangles(rect: TorusRectangle) -> list[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """Atom as plain boxes (x_lo, x_hi, y_lo, y_hi) inside [0, 1]^2."""
+    return [
+        (xs, xe, ys, ye)
+        for xs, xe in rect.x_pieces()
+        for ys, ye in rect.y_pieces()
+    ]
+
+
+def exact_refinement_probabilities(T, partition: Partition, length: int) -> dict[int, Fraction]:
+    """Exact rational word probabilities of the continuous dynamics.
+
+    Supports length 1 (atom areas) and length 2: the joint mass of
+    (atom i at step 0, atom j at step 1) is the area of E_i intersected
+    with the pullback of E_j, computed by exact parallelogram clipping
+    over integer translates.  Packing follows the library convention
+    (code = i + j * alphabet).
+    """
+    d = len(partition)
+    if length == 1:
+        return {a: partition.atoms[a].area for a in range(d) if partition.atoms[a].area}
+    if length != 2:
+        raise ValueError("exact probabilities support lengths 1 and 2 only")
+    if T is None:
+        return {
+            a + a * d: partition.atoms[a].area
+            for a in range(d)
+            if partition.atoms[a].area
+        }
+    inv = T.inverse().entries
+    out: dict[int, Fraction] = {}
+    for j, atom_j in enumerate(partition.atoms):
+        # Pull each box of E_j back through the map: the preimage of a box
+        # is a parallelogram; intersect its integer translates with E_i.
+        pulled: list[list[Point]] = []
+        for (xs, xe, ys, ye) in _axis_rectangles(atom_j):
+            corners = [(xs, ys), (xe, ys), (xe, ye), (xs, ye)]
+            base = [
+                (inv[0] * cx + inv[1] * cy, inv[2] * cx + inv[3] * cy)
+                for cx, cy in corners
+            ]
+            lo1 = min(v[0] for v in base)
+            hi1 = max(v[0] for v in base)
+            lo2 = min(v[1] for v in base)
+            hi2 = max(v[1] for v in base)
+            for s1 in range(math.floor(-hi1), math.ceil(1 - lo1) + 1):
+                for s2 in range(math.floor(-hi2), math.ceil(1 - lo2) + 1):
+                    shifted = [(vx + s1, vy + s2) for vx, vy in base]
+                    clipped = clip_polygon_to_box(
+                        shifted, Fraction(0), Fraction(1), Fraction(0), Fraction(1)
+                    )
+                    if len(clipped) >= 3:
+                        pulled.append(clipped)
+        for i, atom_i in enumerate(partition.atoms):
+            area = Fraction(0)
+            for poly in pulled:
+                for (bxs, bxe, bys, bye) in _axis_rectangles(atom_i):
+                    piece = clip_polygon_to_box(poly, bxs, bxe, bys, bye)
+                    if len(piece) >= 3:
+                        area += abs(polygon_area(piece))
+            if area:
+                out[i + j * d] = out.get(i + j * d, Fraction(0)) + area
+    total = sum(out.values(), Fraction(0))
+    if total != 1:
+        raise AssertionError(f"exact word masses sum to {total}, expected 1")
+    return out

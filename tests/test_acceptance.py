@@ -24,11 +24,9 @@ from torusdyn.discretize import (
 from torusdyn.entropy import (
     DimensionMismatchError,
     ProbabilityTable,
-    classical_probabilities_mc,
     compare_entropy_production,
     cs_entropy,
     cs_probabilities,
-    exact_refinement_probabilities,
     fannes_bound,
     partition_bands_x2,
     partition_entropy,
@@ -49,7 +47,9 @@ from torusdyn.maps import (
     unit_shear,
 )
 
-from conftest import lattice_word_sampler_mc
+from conftest import (
+    classical_probabilities_mc, exact_refinement_probabilities, lattice_word_sampler_mc,
+)
 
 CAT = cat_map()
 HYP2 = ToralMatrix(3, 2, 1, 1)

@@ -11,8 +11,6 @@ from torusdyn.discretize import (
     ThresholdUnmetError,
     check_dynamical_localization,
     check_orbit_shadowing,
-    dediscretize_aw,
-    dediscretize_many,
     discretize_aw,
     egorov_defect,
     kernel,
@@ -28,13 +26,11 @@ from torusdyn.rectangles import (
     TorusRectangle,
     arc_pieces,
     cell_interval_pieces,
-    clip_polygon_to_box,
     pieces_overlap,
-    polygon_area,
     rectangle_overlap_area,
 )
 
-from conftest import egorov_defect_exact_mesh, kernel_defect
+from conftest import clip_polygon_to_box, egorov_defect_exact_mesh, kernel_defect, polygon_area
 
 CAT = cat_map()
 SHEAR = unit_shear()
@@ -146,7 +142,7 @@ def test_indicator_entries_exact():
     got = X.entries.reshape(4, 4)
     assert np.array_equal(got[:, 0], [0.5, 1.0, 0.5, 0.0])
     assert np.all(got == got[:, :1])  # independent of the second coordinate
-    assert X.lattice_mean() == pytest.approx(0.5, abs=0)
+    assert X.entries.mean() == pytest.approx(0.5, abs=0)
     # quadrature path on the same function agrees where it is exact
     Xq = discretize_aw(Observable.from_function(ind.fn, 1.0), cfg, quadrature=8)
     assert np.allclose(Xq.entries, X.entries, atol=1e-12)
@@ -159,23 +155,15 @@ def test_positivity_and_bound():
     assert np.all(X.entries <= 1.0 + 1e-15)
 
 
-def test_dediscretize_is_cell_step_function():
-    cfg = LatticeConfig(10)
-    entries = np.arange(100.0)
-    X = DiagonalObservable(cfg, entries)
-    assert dediscretize_aw(X, TorusPoint(0.96, 0.34)) == entries[cfg.index(0, 3)]
-    vals = dediscretize_many(X, np.array([0.96, 0.04]), np.array([0.34, 0.06]))
-    assert vals[0] == entries[cfg.index(0, 3)]
-    assert vals[1] == entries[cfg.index(0, 1)]
-
-
 def test_discretize_dediscretize_roundtrip_on_step_functions():
     """Cell averages of a cell step function give back its entries exactly."""
     cfg = LatticeConfig(8)
     rng = np.random.default_rng(3)
     entries = rng.random(64)
     X = DiagonalObservable(cfg, entries)
-    f = Observable.from_function(lambda x1, x2: dediscretize_many(X, x1, x2), 1.0)
+    f = Observable.from_function(
+        lambda x1, x2: X.entries[round_coordinates(x1, 8) * 8 + round_coordinates(x2, 8)], 1.0
+    )
     Y = discretize_aw(f, cfg, quadrature=3)
     assert np.allclose(Y.entries, entries, atol=1e-15)
 

@@ -1,5 +1,4 @@
 """Word distributions and entropy production, lattice vs continuous."""
-import io
 import math
 from fractions import Fraction
 
@@ -10,19 +9,16 @@ from torusdyn.cli import EXIT_VALIDATION, main
 from torusdyn.entropy import (
     _classical_atom_matrix,
     _probs_on_union,
+    _word_codes,
     AlignmentRequiredError,
     DimensionMismatchError,
     Partition,
     ProbabilityTable,
     cell_weights,
-    classical_probabilities_mc,
     compare_entropy_production,
+    cs_entropies,
     cs_entropy,
     cs_probabilities,
-    decode_word,
-    encode_word,
-    entropy_components,
-    exact_refinement_probabilities,
     fannes_bound,
     is_aligned,
     ks_entropy_rate,
@@ -33,7 +29,6 @@ from torusdyn.entropy import (
     partition_quadrants,
     shannon_entropy,
     snap_partition,
-    write_probability_csv,
 )
 from torusdyn.lattice import CapacityExceededError, LatticeConfig
 from torusdyn.maps import ToralMatrix, cat_map, classify, quarter_turn, unit_shear
@@ -44,6 +39,8 @@ from conftest import (
     atom_of_point_exact,
     cell_weights_fraction_oracle,
     classical_atom_matrix_float,
+    classical_probabilities_mc,
+    exact_refinement_probabilities,
     lattice_word_sampler_mc,
     probs_on_union_oracle,
 )
@@ -233,10 +230,16 @@ def test_cell_weights_unaligned_rows_sum_to_one():
 
 
 def test_word_codes_roundtrip():
-    for word in [(0,), (3, 1, 2), (1, 0, 0, 2)]:
-        code = encode_word(word, 4)
-        assert decode_word(code, len(word), 4) == word
-    assert encode_word((1, 2), 4) == 1 + 2 * 4  # step order = significance order
+    # _word_codes packs the step-k symbol at significance alphabet**k, and the
+    # base-alphabet digits of each code give the word back
+    words = np.array([(0, 0, 0, 0), (3, 1, 2, 0), (1, 0, 0, 2), (3, 3, 3, 3)], dtype=np.uint8)
+    steps = [words[:, k].copy() for k in range(4)]
+    for n, codes in enumerate(_word_codes(steps, 4), 1):
+        want = [sum(int(s) * 4**k for k, s in enumerate(w[:n])) for w in words]
+        assert codes.tolist() == want
+        for code, w in zip(codes.tolist(), words):
+            assert [code // 4**k % 4 for k in range(n)] == w[:n].tolist()
+    assert codes[1] == 3 + 1 * 4 + 2 * 16  # step order = significance order
 
 
 def test_word_space_guard():
@@ -327,11 +330,9 @@ def test_unaligned_small_words_allowed():
 def test_entropy_components_split():
     cfg = LatticeConfig(32)
     snapped, _ = snap_partition(partition_quadrants(), 32)
-    comp = entropy_components(CAT, cfg, snapped, 4)
-    assert comp["measurement"] == pytest.approx(math.log(4), abs=1e-12)
-    assert comp["total"] == pytest.approx(comp["measurement"] + comp["dynamical"], abs=1e-12)
-    assert comp["per_step_dynamical"] == pytest.approx(comp["dynamical"] / 3, abs=1e-12)
-    assert 0.5 * XI < comp["per_step_dynamical"] < 1.5 * XI
+    s = cs_entropies(CAT, cfg, snapped, 4)
+    assert s[0] == pytest.approx(math.log(4), abs=1e-12)  # readout of 4 equal atoms
+    assert 0.5 * XI < (s[3] - s[0]) / 3 < 1.5 * XI  # dynamical part per step
 
 
 # --- exact geometry oracle ---------------------------------------------------------
@@ -552,21 +553,3 @@ def test_compare_non_hyperbolic_never_breaks():
 def test_compare_requires_sizes():
     with pytest.raises(ValueError):
         compare_entropy_production(CAT, partition_quadrants(), 4, (), 1000, seed=1)
-
-
-# --- serialization -------------------------------------------------------------------------
-
-
-def test_write_probability_csv(tmp_path):
-    snapped, _ = snap_partition(partition_quadrants(), 9)
-    tbl = cs_probabilities(CAT, LatticeConfig(9), snapped, 2)
-    path = tmp_path / "words.csv"
-    write_probability_csv(path, tbl, header={"matrix": "2,1,1,1"})
-    text = path.read_text()
-    assert "# matrix=2,1,1,1" in text
-    rows = [l for l in text.splitlines() if l and not l.startswith("#")]
-    assert rows[0] == "code,probability,count"  # count column present for exact tables
-    assert len(rows) == tbl.support_size + 1
-    got = sum(float(r.split(",")[1]) for r in rows[1:])
-    assert got == pytest.approx(1.0, abs=1e-9)
-    assert sum(int(r.split(",")[2]) for r in rows[1:]) == 81

@@ -13,12 +13,10 @@ from torusdyn.lattice import (
     TorusPoint,
     build_permutation,
     discrete_step,
-    identity_permutation,
     matrix_power_mod,
     orbit_period,
     round_coordinates,
     round_to_lattice,
-    torus_distance,
     torus_distance_arrays,
 )
 from torusdyn.maps import ToralMatrix, cat_map, quarter_turn, unit_shear
@@ -57,13 +55,18 @@ def test_torus_point_reduction():
 # --- distances ---------------------------------------------------------------
 
 
+def _distance(a, b):
+    """Scalar torus distance: fold each coordinate difference into [0, 1/2]."""
+    d1 = abs(a[0] - b[0])
+    d2 = abs(a[1] - b[1])
+    return math.hypot(min(d1, 1.0 - d1), min(d2, 1.0 - d2))
+
+
 def test_torus_distance_wraps():
-    assert torus_distance(TorusPoint(0.95, 0.0), TorusPoint(0.05, 0.0)) == pytest.approx(0.1)
-    assert torus_distance(TorusPoint(0.0, 0.9), TorusPoint(0.0, 0.1)) == pytest.approx(0.2)
+    assert torus_distance_arrays(0.95, 0.0, 0.05, 0.0) == pytest.approx(0.1)
+    assert torus_distance_arrays(0.0, 0.9, 0.0, 0.1) == pytest.approx(0.2)
     # maximum possible separation is the half-diagonal
-    assert torus_distance(TorusPoint(0.0, 0.0), TorusPoint(0.5, 0.5)) == pytest.approx(
-        math.sqrt(2) / 2
-    )
+    assert torus_distance_arrays(0.0, 0.0, 0.5, 0.5) == pytest.approx(math.sqrt(2) / 2)
 
 
 def test_torus_distance_arrays_matches_scalar():
@@ -72,8 +75,7 @@ def test_torus_distance_arrays_matches_scalar():
     b = rng.random((64, 2))
     vec = torus_distance_arrays(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
     for i in range(64):
-        scalar = torus_distance(TorusPoint(a[i, 0], a[i, 1]), TorusPoint(b[i, 0], b[i, 1]))
-        assert vec[i] == pytest.approx(scalar, abs=1e-15)
+        assert vec[i] == pytest.approx(_distance(a[i], b[i]), abs=1e-15)
 
 
 # --- rounding ----------------------------------------------------------------
@@ -172,31 +174,33 @@ def test_permutation_group_law():
     from torusdyn.maps import matrix_power_entries
 
     cfg = LatticeConfig(13)
-    perm = build_permutation(CAT, cfg)
-    assert perm.power(3) == build_permutation(CAT, cfg).compose(perm).compose(perm)
-    # power matches the permutation built from the exact cubed matrix
+    f = build_permutation(CAT, cfg).forward
+    # the table of T**3 is the table of T gathered on itself twice
     T3 = ToralMatrix(*matrix_power_entries(CAT, 3))
-    assert perm.power(3) == build_permutation(T3, cfg)
+    assert np.array_equal(build_permutation(T3, cfg).forward, f[f[f]])
 
 
 def test_permutation_inverse_and_identity():
     cfg = LatticeConfig(9)
-    perm = build_permutation(ROT, cfg)
-    assert perm.compose(perm.inverse()) == identity_permutation(cfg)
-    assert perm.inverse().compose(perm) == identity_permutation(cfg)
-    assert identity_permutation(cfg).is_identity
-    assert not perm.is_identity
-    assert perm.power(0) == identity_permutation(cfg)
-    assert perm.power(-2) == perm.inverse().power(2)
+    f = build_permutation(ROT, cfg).forward
+    inv = build_permutation(ROT.inverse(), cfg).forward
+    identity = np.arange(cfg.points)
+    assert np.array_equal(f[inv], identity)
+    assert np.array_equal(inv[f], identity)
+    assert not np.array_equal(f, identity)
+    # the quarter turn has order 4: three gathers give its inverse, four the identity
+    assert np.array_equal(f[f[f]], inv)
+    assert np.array_equal(f[f[f[f]]], identity)
 
 
-def test_evolve_diagonal_is_pullback():
+def test_permutation_gather_is_pullback():
     cfg = LatticeConfig(6)
     perm = build_permutation(CAT, cfg)
     entries = np.arange(cfg.points, dtype=float)
-    pulled = perm.evolve_diagonal(entries)
+    pulled = entries[perm.forward]
     for flat in range(cfg.points):
-        assert pulled[flat] == entries[perm.forward[flat]]
+        image = discrete_step(CAT, cfg.point(flat), cfg)
+        assert pulled[flat] == entries[cfg.index(image.p1, image.p2)]
 
 
 def test_orbit_periods():
@@ -204,11 +208,14 @@ def test_orbit_periods():
     assert orbit_period(SHEAR, LatticeConfig(7)) == 7
     # rotation orbits close after at most 4 steps
     assert orbit_period(ROT, LatticeConfig(3)) in (1, 2, 4)
-    # consistency: permutation to that power is the identity
+    # consistency: that many gathers of the table give the identity
     for T, size in ((CAT, 5), (SHEAR, 7), (ROT, 3)):
         cfg = LatticeConfig(size)
-        p = orbit_period(T, cfg)
-        assert build_permutation(T, cfg).power(p).is_identity
+        f = build_permutation(T, cfg).forward
+        g = np.arange(cfg.points)
+        for _ in range(orbit_period(T, cfg)):
+            g = g[f]
+        assert np.array_equal(g, np.arange(cfg.points))
 
 
 def test_capacity_guard():

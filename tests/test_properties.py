@@ -215,6 +215,36 @@ def test_build_permutation_matches_python_int_oracle():
         assert forward.tolist() == permutation_table_python_int(T, size)
 
 
+@settings(deadline=None)
+@given(matrices, st.integers(2, 64), st.integers(0, 6))
+def test_permutation_table_gathers_compose_powers(T, size, a):
+    # The table of T**a is the table of T gathered a times; where T**a is
+    # plus or minus the identity (which ToralMatrix rejects) it is the
+    # identity table or the point reflection p -> -p mod N.
+    cfg = LatticeConfig(size)
+    f = build_permutation(T, cfg).forward
+    identity = np.arange(cfg.points)
+    gathered = identity
+    for _ in range(a):
+        gathered = gathered[f]
+    power = matrix_power_entries(T, a)
+    if power == (1, 0, 0, 1):
+        want = identity
+    elif power == (-1, 0, 0, -1):
+        p1, p2 = np.divmod(identity, size)
+        want = (-p1 % size) * size + (-p2 % size)
+    else:
+        want = build_permutation(ToralMatrix(*power), cfg).forward
+    assert np.array_equal(gathered, want)
+    # orbit_period gathers return to the identity, and no fewer do
+    period = orbit_period(T, cfg)
+    gathered = f
+    for _ in range(period - 1):
+        assert not np.array_equal(gathered, identity)
+        gathered = gathered[f]
+    assert np.array_equal(gathered, identity)
+
+
 SEAM_WRAPPING = parse_partition(
     "rects:3/4,1/2,7/8,1/2;1/4,1/2,7/8,1/2;3/4,1/2,3/8,1/2;1/4,1/2,3/8,1/2"
 )
