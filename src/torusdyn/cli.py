@@ -382,7 +382,7 @@ def cmd_classify(ns: argparse.Namespace, opts: list[Opt]) -> int:
         record["growth_scale"] = scaling_function(data, ns.steps)
         record["diameter"] = diameter_formula(data, ns.steps)
         record["steps"] = ns.steps
-    if ns.size:
+    if ns.size is not None:
         record["size"] = ns.size
         record["gamma"] = ns.gamma
         record["breaking_time"] = breaking_time(data, ns.size, ns.gamma)
@@ -612,8 +612,9 @@ def cmd_entropy(ns: argparse.Namespace, opts: list[Opt]) -> int:
         return EXIT_OK
     # mode=components: deterministic lattice-side decomposition per (N, n)
     def sweep(size: int) -> list[tuple]:
+        cfg = LatticeConfig(size)
         snapped, shift = snap_partition(partition, size)
-        totals = cs_entropies(T, LatticeConfig(size), snapped, ns.n_max, capacity=ns.capacity)
+        totals = cs_entropies(T, cfg, snapped, ns.n_max, capacity=ns.capacity)
         s1 = totals[0]
         return [
             (n, size, total, s1, total - s1, (total - s1) / (n - 1) if n > 1 else 0.0, shift)

@@ -398,8 +398,8 @@ class ProbabilityTable:
 
     `codes` are strictly increasing int64 packed words with positive mass;
     `probs` are their float probabilities.  When the table came from exact
-    integer counts those are retained (`counts`, `total`) and exact
-    rational probabilities are available.
+    integer counts those are retained (`counts`, `total`), so the exact
+    probability of `codes[i]` is counts[i] / total.
     """
 
     length: int
@@ -483,14 +483,6 @@ class ProbabilityTable:
         if i < self.codes.size and self.codes[i] == code:
             return float(self.probs[i])
         return 0.0
-
-    def exact_probability(self, code: int) -> Fraction:
-        if not self.is_exact:
-            raise ValueError("table does not carry exact counts")
-        i = int(np.searchsorted(self.codes, code))
-        if i < self.codes.size and self.codes[i] == code:
-            return Fraction(int(self.counts[i]), int(self.total))
-        return Fraction(0)
 
 
 def _entropy_of_fractions(values: list[Fraction]) -> float:
@@ -792,17 +784,21 @@ def cs_entropies(
     """Lattice word entropies S_1..S_n_max of an aligned partition, one orbit pass.
 
     Bit for bit `cs_entropy` at each length; raises AlignmentRequiredError
-    for an unaligned partition (snap it to the lattice first).
+    for an unaligned partition (snap it to the lattice first).  The walk stops
+    once the words separate all N**2 points: longer words refine them.
     """
     d = len(partition)
     _check_word_space(n_max, d)
     weights = _checked_weights(cfg, partition, capacity, None)
     if not weights.aligned:
         raise AlignmentRequiredError("one-pass lattice entropies need an aligned partition")
-    return [
-        shannon_entropy(ProbabilityTable.from_counts(codes, n, d))
-        for n, codes in enumerate(_word_codes(_orbit_atoms(T, weights, n_max, capacity), d), 1)
-    ]
+    entropies = []
+    for n, codes in enumerate(_word_codes(_orbit_atoms(T, weights, n_max, capacity), d), 1):
+        table = ProbabilityTable.from_counts(codes, n, d)
+        entropies.append(shannon_entropy(table))
+        if table.support_size == cfg.points:
+            break
+    return entropies + entropies[-1:] * (n_max - len(entropies))
 
 
 # ---------------------------------------------------------------------------
@@ -815,18 +811,19 @@ def _probs_on_union(a: ProbabilityTable, b: ProbabilityTable) -> tuple[np.ndarra
 
     Both code arrays are strictly increasing, so the union positions come
     from a linear merge: a code of b sits after the codes of a below it and
-    the b-only codes before it; a code of a sits after its own predecessors
-    and the b-only codes below it.
+    the b-only codes before it; the codes of a fill, in order, every slot
+    that no b-only code takes.
     """
     below = np.searchsorted(a.codes, b.codes)
     shared = a.codes[np.minimum(below, a.codes.size - 1)] == b.codes
     b_only = ~shared
     b_pos = below + np.cumsum(b_only) - b_only
-    a_pos = np.arange(a.codes.size) + np.searchsorted(b.codes[b_only], a.codes)
     union_size = a.codes.size + b.codes.size - int(shared.sum())
+    a_slot = np.ones(union_size, dtype=bool)
+    a_slot[b_pos[b_only]] = False
     pa = np.zeros(union_size)
     pb = np.zeros(union_size)
-    pa[a_pos] = a.probs
+    pa[a_slot] = a.probs
     pb[b_pos] = b.probs
     return pa, pb
 
@@ -954,7 +951,9 @@ def compare_entropy_production(
     `diff_support_cap` also gets a pointwise sup-difference (`eps_hat`) and
     a total-variation entropy continuity check; larger pairs record NaN
     and are skipped (the entropy and breaking outputs never depend on
-    these diagnostics).
+    these diagnostics).  Once the lattice words separate all N**2 >=
+    `diff_support_cap` points, so that no longer length is audited, the walk
+    stops: longer words refine them, so S_cs stays at that log N**2.
     """
     _check_word_space(n_max, len(partition))
     sizes = tuple(int(s) for s in sizes)
@@ -989,15 +988,17 @@ def compare_entropy_production(
         snap_shifts.append(shift)
         weights = cell_weights(snapped, cfg)
         atoms_mc = _classical_atom_matrix(T, snapped, n_max, samples, children[i], weights)
-        words = zip(
-            _word_codes(_orbit_atoms(T, weights, n_max, capacity), d), _word_codes(atoms_mc, d)
-        )
+        lattice_words = _word_codes(_orbit_atoms(T, weights, n_max, capacity), d)
         brk: Optional[int] = None
-        for n, (cs_codes, ks_codes) in enumerate(words, 1):
+        for n, ks_codes in enumerate(_word_codes(atoms_mc, d), 1):
             k = n - 1
-            cs_table = ProbabilityTable.from_counts(cs_codes, n, d)
+            if lattice_words is not None:
+                cs_table = ProbabilityTable.from_counts(next(lattice_words), n, d)
+                s_cs[i, n:] = shannon_entropy(cs_table)  # holds until a longer table
+                if cs_table.support_size == cfg.points >= diff_support_cap:
+                    lattice_words.close()
+                    lattice_words = None
             ks_table = ProbabilityTable.from_counts(ks_codes, n, d)
-            s_cs[i, n] = shannon_entropy(cs_table)
             s_ks[i, n] = shannon_entropy(ks_table)
             if cs_table.support_size + ks_table.support_size <= diff_support_cap:
                 pa, pb = _probs_on_union(cs_table, ks_table)

@@ -91,9 +91,6 @@ class TorusRectangle:
         dy = (x2 - float(self.y_start)) % 1.0
         return (dx < float(self.x_span)) & (dy < float(self.y_span))
 
-    def contains(self, x1: float, x2: float) -> bool:
-        return bool(self.contains_arrays(np.asarray(x1), np.asarray(x2)))
-
 
 def arc_pieces(start: Fraction, span: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
     """Decompose a circle arc into at most two linear intervals inside [0, 1]."""

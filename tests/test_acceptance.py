@@ -206,7 +206,7 @@ def test_criterion_07_word_distributions_match_independent_routes():
         snapped, _ = snap_partition(partition_quadrants(), size)
         tbl = cs_probabilities(CAT, LatticeConfig(size), snapped, length)
         assert tbl.is_exact
-        assert sum((tbl.exact_probability(int(c)) for c in tbl.codes), Fraction(0)) == 1
+        assert sum((Fraction(int(c), tbl.total) for c in tbl.counts), Fraction(0)) == 1
         # (b) independent geometric sampler agrees within 4 standard errors
         samples = 400_000
         mc = lattice_word_sampler_mc(CAT, size, snapped, length, samples, seed=77)

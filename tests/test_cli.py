@@ -267,6 +267,26 @@ def test_entropy_bad_partition_string(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--mode", "components", "--identity-dynamics", "--sizes", "0", "--n-max", "3"],
+    ["entropy", "--mode", "components", "--matrix", "2", "1", "1", "1", "--sizes", "0",
+     "--n-max", "3"],
+    ["entropy", "--mode", "components", "--identity-dynamics", "--sizes", "1", "--n-max", "3"],
+    ["classify", "--matrix", "2", "1", "1", "1", "--size", "0"],
+])
+def test_lattice_size_below_two_is_validation_error(argv, capsys, tmp_path):
+    if argv[0] == "entropy":
+        argv = argv + ["--output", str(tmp_path / "x.csv")]
+    assert run(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("ValueError: lattice size must be >= 2, got ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_capacity_exit_code(tmp_path):
     code = run([
         "entropy", "--mode", "components", "--identity-dynamics", "--sizes", "200",

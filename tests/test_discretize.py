@@ -56,8 +56,8 @@ def test_rectangle_wraparound_pieces_and_area():
     rect = TorusRectangle(Fraction(3, 4), Fraction(1, 2), Fraction(0), Fraction(1))
     assert rect.x_pieces() == ((Fraction(3, 4), Fraction(1)), (Fraction(0), Fraction(1, 4)))
     assert rect.area == Fraction(1, 2)
-    assert rect.contains(0.9, 0.5) and rect.contains(0.1, 0.5)
-    assert not rect.contains(0.5, 0.5)
+    inside = rect.contains_arrays(np.array([0.9, 0.1, 0.5]), np.array([0.5, 0.5, 0.5]))
+    assert inside.tolist() == [True, True, False]
 
 
 def test_overlap_area_exact():

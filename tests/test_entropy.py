@@ -254,7 +254,8 @@ def test_probability_table_validation():
         ProbabilityTable.from_probs(np.array([0], dtype=np.int64), np.array([0.5]), 1, 2)
     tbl = ProbabilityTable.from_counts(np.array([0, 1, 1, 3]), 1, 4)
     assert tbl.is_exact
-    assert tbl.exact_probability(1) == Fraction(1, 2)
+    assert tbl.codes.tolist() == [0, 1, 3]
+    assert Fraction(int(tbl.counts[1]), tbl.total) == Fraction(1, 2)
     assert tbl.probability(2) == 0.0
     assert tbl.support_size == 3
 
@@ -276,7 +277,7 @@ def test_cs_probabilities_normalized_and_counted():
     snapped, _ = snap_partition(partition_quadrants(), 9)
     tbl = cs_probabilities(CAT, cfg, snapped, 3)
     assert tbl.is_exact
-    assert sum(tbl.exact_probability(int(c)) for c in tbl.codes) == 1
+    assert sum(Fraction(int(c), tbl.total) for c in tbl.counts) == 1
     assert tbl.total == 81
 
 
@@ -530,6 +531,48 @@ def test_compare_hyperbolic_ladder():
     d = cmp.as_dict()
     assert d["breaking"] == [7, 8, 10]
     assert len(d["s_cs"]) == 3 and len(d["s_cs"][0]) == 13
+
+
+def test_compare_stops_the_lattice_walk_at_separation(monkeypatch):
+    """Past the length whose words separate every lattice point nothing changes.
+
+    With N**2 at or above the audit cap, the walk stops there: S_cs repeats
+    log N**2, the classical side and the breaking outputs are untouched, and
+    no later lattice table is built (7 and 9 lattice tables instead of 14).
+    """
+    part = partition_quadrants()
+    sizes = (32, 64)
+    default = compare_entropy_production(CAT, part, 14, sizes, 50_000, seed=3)
+    lengths = []
+    from_counts = ProbabilityTable.from_counts
+
+    def counting(values, length, alphabet):
+        lengths.append(length)
+        return from_counts(values, length, alphabet)
+
+    monkeypatch.setattr(ProbabilityTable, "from_counts", staticmethod(counting))
+    capped = compare_entropy_production(CAT, part, 14, sizes, 50_000, seed=3, diff_support_cap=1024)
+    monkeypatch.undo()
+    assert len(lengths) == 2 * 14 + 7 + 9
+    assert capped.s_ks.tobytes() == default.s_ks.tobytes()
+    assert capped.breaking == default.breaking and capped.slope == default.slope
+    assert capped.fannes_violations == 0
+    assert capped.fannes_checked == int(np.isfinite(capped.eps_hat).sum())
+    children = np.random.SeedSequence(3).spawn(len(sizes))
+    for i, (size, separated_at) in enumerate(zip(sizes, (7, 9))):
+        cfg = LatticeConfig(size)
+        snapped, _ = snap_partition(part, size)
+        tables = [cs_probabilities(CAT, cfg, snapped, n) for n in range(1, 15)]
+        supports = [t.support_size for t in tables]
+        assert supports.index(cfg.points) + 1 == separated_at
+        want = [0.0] + [shannon_entropy(t) for t in tables]
+        assert capped.s_cs[i].tolist() == want
+        weights = cell_weights(snapped, cfg)
+        atoms = _classical_atom_matrix(CAT, snapped, 14, 50_000, children[i], weights)
+        for n, codes in enumerate(_word_codes(atoms, 4), 1):
+            audited = supports[n - 1] + np.unique(codes).size <= 1024
+            got, full = capped.eps_hat[i, n - 1], default.eps_hat[i, n - 1]
+            assert (got == full) if audited else math.isnan(got), (size, n)
 
 
 def test_compare_low_entropy_partition_no_spurious_break():

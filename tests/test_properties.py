@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusdyn.cli import EXIT_VALIDATION, main, parse_partition
@@ -280,19 +280,24 @@ def test_orbit_atoms_gather_equals_step_walk(T, size, partition, length):
 # --- the word counter ------------------------------------------------------------
 
 
-@settings(deadline=None, max_examples=60)
+@settings(deadline=None)
 @given(
     st.one_of(st.none(), matrices),
-    st.integers(4, 40),
+    # Few lattices past N = 12 separate within 14 steps, so draw small N more often.
+    st.one_of(st.integers(2, 12), st.integers(2, 40)),
     st.sampled_from([partition_quadrants(), partition_halves_x2(), partition_bands_x2(3)]),
-    st.integers(1, 8),
+    st.integers(1, 14),
 )
+@example(cat_map(), 8, partition_quadrants(), 12)  # the words separate all 64 points at n = 4
 def test_one_pass_entropies_equal_per_length_cs_entropy(T, size, partition, n_max):
-    snapped, _ = snap_partition(partition, size)
+    try:
+        snapped, _ = snap_partition(partition, size)
+    except ValueError:  # too coarse a lattice to resolve the partition
+        assume(False)
     cfg = LatticeConfig(size)
     one_pass = cs_entropies(T, cfg, snapped, n_max)
     per_length = [cs_entropy(T, cfg, snapped, n) for n in range(1, n_max + 1)]
-    assert one_pass == per_length
+    assert np.array(one_pass).tobytes() == np.array(per_length).tobytes()
 
 
 # --- exact entropy and the dyadic classical sampler ------------------------------
