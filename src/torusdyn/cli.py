@@ -22,6 +22,7 @@ overflows a float or an int64 lattice step), 3 capacity or memory exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -378,7 +379,9 @@ def cmd_classify(ns: argparse.Namespace, opts: list[Opt]) -> int:
         "phi": data.phi,
         "period": data.period,
     }
-    if ns.steps and ns.steps >= 1:
+    if ns.steps < 0:
+        raise ValueError(f"step count must be >= 0, got {ns.steps}")
+    if ns.steps:
         record["growth_scale"] = scaling_function(data, ns.steps)
         record["diameter"] = diameter_formula(data, ns.steps)
         record["steps"] = ns.steps
@@ -659,7 +662,13 @@ _SUBCOMMANDS: dict[str, tuple[Callable, list[Opt], str]] = {
 }
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for every subcommand, built once per process.
+
+    Every call returns the same cached parser, so treat it as read-only:
+    parse with it and report errors through it, but add or change nothing.
+    """
     parser = argparse.ArgumentParser(
         prog="torusdyn",
         description=__doc__,

@@ -19,6 +19,7 @@ estimate.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -359,7 +360,8 @@ def diameter_formula(data: SpectralData, n: int) -> float:
       exactly when T**n is plus or minus the identity, which happens iff
       n is a multiple of 3 (|semitrace| = 1/2) or of 2 (semitrace = 0).
 
-    n = 0 gives 1 (the unit ball itself) in every family.
+    n = 0 gives 1 (the unit ball itself) in every family.  A D(n) past the
+    float range raises OverflowError rather than returning inf.
     """
     if n < 0:
         raise ValueError(f"step count must be >= 0, got {n}")
@@ -370,7 +372,22 @@ def diameter_formula(data: SpectralData, n: int) -> float:
     else:
         half = 3 if abs(data.semitrace) == Fraction(1, 2) else 2
         return 1.0 if n % half == 0 else data.eta
-    return z + math.sqrt(z * z + 1.0)
+    diameter = z + math.sqrt(z * z + 1.0)
+    if not math.isfinite(diameter):
+        raise OverflowError(f"diameter D({n}) overflows a float")
+    return diameter
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_circle(samples: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read-only cos and sin of the angles 2 pi k / samples, k = 0..samples-1,
+    and the largest `np.hypot` of a (cos, sin) pair: the grid's own radius."""
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    cos_t.flags.writeable = False
+    sin_t.flags.writeable = False
+    return cos_t, sin_t, float(np.hypot(cos_t, sin_t).max())
 
 
 def diameter_bruteforce(T: ToralMatrix, n: int, samples: int) -> float:
@@ -382,15 +399,39 @@ def diameter_bruteforce(T: ToralMatrix, n: int, samples: int) -> float:
     estimate is nondecreasing under such refinement.  Matrix entries are
     computed exactly and converted to floats, so results are reliable while
     the entries stay below 2**53.
+
+    The result is the largest `np.hypot(a cos + b sin, c cos + d sin)` over
+    the grid, bit for bit, found without taking `hypot` at every point.
+    The grid (cos, sin and its own radius) is built once per sample count.
+    When T**n is plus or minus the identity or a quarter turn, the two
+    components are the grid's cos and sin up to sign and order, which
+    `hypot` ignores, so the result is the grid's radius.  Otherwise the
+    search runs on the squared norm |T**n v|^2, evaluated as the quadratic
+    form of (T**n)' T**n after scaling T**n by the power of two that brings
+    its largest entry into [1/2, 1), so no square overflows.  `hypot` is
+    then taken only where that square is within a relative 1e-9 of the
+    largest.  Rounding moves each square by about 1e-15 of the largest, so
+    the grid point with the largest `hypot` always lies in that set.
     """
     if samples < 64:
         raise ValueError(f"need at least 64 samples, got {samples}")
     a, b, c, d = (float(v) for v in matrix_power_entries(T, n))
-    theta = 2.0 * math.pi * np.arange(samples) / samples
-    cos_t = np.cos(theta)
-    sin_t = np.sin(theta)
-    norms = np.hypot(a * cos_t + b * sin_t, c * cos_t + d * sin_t)
-    return float(norms.max())
+    cos_t, sin_t, radius = _unit_circle(samples)
+    if b == c == 0.0 or a == d == 0.0:  # det 1 then forces +-I or a quarter turn
+        return radius
+    shift = -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    a2, b2, c2, d2 = (math.ldexp(v, shift) for v in (a, b, c, d))
+    p, q, r = a2 * a2 + c2 * c2, a2 * b2 + c2 * d2, b2 * b2 + d2 * d2
+    # p cos^2 + 2 q cos sin + r sin^2, with sin^2 = 1 - cos^2 up to rounding.
+    squares = cos_t * cos_t
+    squares *= p - r
+    cross = cos_t * sin_t
+    cross *= 2.0 * q
+    squares += cross
+    squares += r
+    near = np.flatnonzero(squares >= squares.max() * (1.0 - 1e-9))
+    cos_n, sin_n = cos_t[near], sin_t[near]
+    return float(np.hypot(a * cos_n + b * sin_n, c * cos_n + d * sin_n).max())
 
 
 def scaling_function(data: SpectralData, n: int) -> float:

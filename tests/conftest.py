@@ -20,7 +20,8 @@ masses of the continuous map by Sutherland-Hodgman clipping of pulled-back
 boxes (`clip_polygon_halfplane`, `clip_polygon_to_box`) and the shoelace
 `polygon_area`, all in `Fraction` arithmetic.  `classical_probabilities_mc`
 is the library's own Monte Carlo word table at one length, composed from its
-sampler, word counter and histogram.
+sampler, word counter and histogram.  `diameter_bruteforce_full_grid` takes
+`np.hypot` at every point of a freshly built angular grid.
 """
 from __future__ import annotations
 
@@ -365,6 +366,15 @@ def classical_probabilities_mc(T, partition: Partition, length: int, samples: in
     atoms = _classical_atom_matrix(T, partition, length, samples, seed)
     *_, codes = _word_codes(atoms, len(partition))
     return ProbabilityTable.from_counts(codes, length, len(partition))
+
+
+def diameter_bruteforce_full_grid(T: ToralMatrix, n: int, samples: int) -> float:
+    """Largest `np.hypot` of T**n v over the whole grid of `samples` angles."""
+    a, b, c, d = (float(v) for v in matrix_power_entries(T, n))
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    return float(np.hypot(a * cos_t + b * sin_t, c * cos_t + d * sin_t).max())
 
 
 Point = tuple[Fraction, Fraction]

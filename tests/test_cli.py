@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from torusdyn.cli import EXIT_CAPACITY, EXIT_OK, EXIT_VALIDATION, main
+from torusdyn.cli import EXIT_CAPACITY, EXIT_OK, EXIT_VALIDATION, build_parser, main
 
 
 def run(argv):
@@ -51,6 +51,13 @@ def test_classify_optional_breaking_block(capsys, tmp_path):
 def test_classify_rejects_trivial_and_non_unimodular(capsys):
     assert run(["classify", "--matrix", "1", "0", "0", "1"]) == EXIT_VALIDATION
     assert run(["classify", "--matrix", "2", "0", "0", "2"]) == EXIT_VALIDATION
+
+
+def test_classify_negative_steps_is_validation_error(capsys):
+    assert run(["classify", "--matrix", "2", "1", "1", "1", "--steps", "-3"]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "ValueError: step count must be >= 0, got -3"
 
 
 def test_missing_required_flag_is_validation_error(capsys):
@@ -349,12 +356,37 @@ def test_python_dash_m_entry():
     assert '"period": 4' in proc.stdout
 
 
+# --- one parser per process --------------------------------------------------------
+
+
+def test_cached_parser_serves_successive_calls(tmp_path, capsys):
+    """Errors, help and config files leave the shared parser as it was."""
+    classify_argv = ["classify", "--matrix", "3", "2", "1", "1", "--steps", "4"]
+    assert run(classify_argv) == EXIT_OK
+    first = capsys.readouterr().out
+    assert run(["localize", "--matrix", "2", "1", "1", "1", "--size", "64", "--steps", "-1",
+                "--seed", "1"]) == EXIT_VALIDATION
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("matrix = 1,1,0,1\nsteps-max = 2\nsamples = 64\n")
+    assert run(["diameters", "--config", str(cfg)]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["egorov", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert run(classify_argv) == EXIT_OK
+    assert capsys.readouterr().out == first
+    assert build_parser() is build_parser()
+
+
 # --- float overflow -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("argv", [
     ["classify", "--matrix", "2", "1", "1", "1", "--steps", "800"],
     ["diameters", "--matrix", "2", "1", "1", "1", "--steps-max", "800"],
+    # D(n) itself overflows from n = 370 although sinh(n xi) is still finite.
+    ["classify", "--matrix", "2", "1", "1", "1", "--steps", "380"],
+    ["diameters", "--matrix", "2", "1", "1", "1", "--steps-max", "380"],
 ])
 def test_float_overflow_is_validation_error(argv, capsys):
     assert run(argv) == EXIT_VALIDATION

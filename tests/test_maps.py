@@ -21,6 +21,8 @@ from torusdyn.maps import (
     unit_shear,
 )
 
+from conftest import diameter_bruteforce_full_grid
+
 CAT = cat_map()
 SHEAR = unit_shear()
 ROT = quarter_turn()
@@ -217,6 +219,41 @@ def test_diameter_bruteforce_matches_formula():
             formula = diameter_formula(data, n)
             brute = diameter_bruteforce(T, n, 20000)
             assert abs(formula - brute) / formula < 1e-6
+
+
+def _random_unimodular(rng, count):
+    found = []
+    while len(found) < count:
+        a, b, c, d = (int(v) for v in rng.integers(-3, 4, 4))
+        if a * d - b * c == 1 and not (b == 0 and c == 0):
+            found.append(ToralMatrix(a, b, c, d))
+    return found
+
+
+@pytest.mark.parametrize("samples", [64, 4096, 99991, 100000])
+def test_diameter_bruteforce_equals_full_grid_oracle(samples):
+    """The squared-norm search returns the full-grid hypot maximum bit for bit.
+
+    Cat-map steps from 370 on put the squared entries past the float range;
+    with every floating-point error raised, the search must not overflow.
+    """
+    acceptance = ALL_SIX + [ToralMatrix(1, 0, 2, 1)]
+    drawn = _random_unimodular(np.random.default_rng(7), 10)
+    cases = [(T, n) for T in acceptance + drawn for n in range(15)]
+    cases += [(CAT, n) for n in (360, 369, 370, 400, 500, 700)]
+    with np.errstate(all="raise"):
+        for T, n in cases:
+            expected = diameter_bruteforce_full_grid(T, n, samples)
+            assert diameter_bruteforce(T, n, samples) == expected, (T.entries, n)
+
+
+def test_diameter_formula_overflow_raises():
+    """Past the float range the closed form raises instead of returning inf."""
+    data = classify(CAT)
+    assert math.isfinite(diameter_formula(data, 369))
+    for n in (370, 380, 739, 800):
+        with pytest.raises(OverflowError):
+            diameter_formula(data, n)
 
 
 def test_frozen_diameter_values():
