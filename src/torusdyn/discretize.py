@@ -62,9 +62,9 @@ __all__ = [
 ]
 
 # Mesh rows are processed in blocks of roughly this many points so the
-# work arrays stay small; the block size is fixed, which keeps float
+# work arrays stay in cache; the block size is fixed, which keeps float
 # accumulation order (and hence output bytes) reproducible.
-_MESH_BLOCK = 1 << 22
+_MESH_BLOCK = 1 << 16
 
 
 # Drawn points are multiples of 2**-53: their numerators a = x * 2**53 as
@@ -156,6 +156,17 @@ def _indicator_entries(rects: tuple[TorusRectangle, ...], cfg: LatticeConfig) ->
     return entries
 
 
+def _read_axis(f: Observable) -> Optional[int]:
+    """The one coordinate f reads: 0 for x1, 1 for x2, None for anything else.
+
+    f is called on a 2 x 2 broadcast, x1 as a column and x2 as a row; a
+    result of shape (2, 1) reads x1 only and (1, 2) reads x2 only.
+    """
+    probe = np.array([0.25, 0.75])
+    shape = np.shape(f(probe[:, None], probe[None, :]))
+    return {(2, 1): 0, (1, 2): 1}.get(shape)
+
+
 def discretize_aw(f: Observable, cfg: LatticeConfig, quadrature: int = 1) -> DiagonalObservable:
     """Cell averages of f: entry(p) = N^2 * integral of f over cell(p).
 
@@ -174,6 +185,13 @@ def discretize_aw(f: Observable, cfg: LatticeConfig, quadrature: int = 1) -> Dia
     q = quadrature
     coords = _cell_axis_coordinates(n, q)  # (n, q)
     flat = coords.ravel()  # n*q values, cell-major
+    axis = _read_axis(f)
+    if axis is not None:
+        # One coordinate read: average its n*q axis points per cell and
+        # spread the line across the other axis.
+        line = np.asarray(f(flat[:, None], flat[None, :])).reshape(n, q).mean(axis=1)
+        shape = (n, 1) if axis == 0 else (1, n)
+        return DiagonalObservable(cfg, np.broadcast_to(line.reshape(shape), (n, n)).ravel())
     entries = np.empty((n, n))
     # Row blocks keep the (n*q)^2 evaluation mesh bounded in memory.
     rows_per_block = max(1, _MESH_BLOCK // (n * q * q))
@@ -181,11 +199,6 @@ def discretize_aw(f: Observable, cfg: LatticeConfig, quadrature: int = 1) -> Dia
         stop = min(start + rows_per_block, n)
         xs = coords[start:stop].ravel()  # (rows*q,)
         vals = np.asarray(f(xs[:, None], flat[None, :]))
-        if vals.shape in ((xs.size, 1), (1, flat.size)):
-            # One coordinate read: average along its axis, spread across the other.
-            rows, cols = (stop - start, 1) if vals.shape[1] == 1 else (1, n)
-            entries[start:stop] = vals.reshape(rows, cols, q).mean(axis=2)
-            continue
         vals = np.broadcast_to(vals, (xs.size, flat.size))  # (rows*q, n*q)
         vals = vals.reshape(stop - start, q, n, q)
         entries[start:stop] = vals.mean(axis=(1, 3))
@@ -247,6 +260,13 @@ def egorov_defect(
         defect**2 = G**-2 * sum_e sum_q |f(q/N + delta_e) - table[q]|**2,
     which needs only T**steps mod 2G, in integers at any step count.  A
     precomputed cell-average `table` for f amortizes sweeps over steps.
+
+    When f reads one coordinate (x1, say) and the table is exactly constant
+    along the other, table[q] = line[q1] and the inner sum collapses to
+        N * sum_q1 |f(q1/N + delta_e1) - line[q1]|**2,
+    O(N) per mesh offset instead of O(N**2); the constancy check is one
+    exact O(N**2) comparison per call, and any other table takes the full
+    mesh.
     """
     size = cfg.size
     g, rest = divmod(grid, size)
@@ -260,16 +280,26 @@ def egorov_defect(
     m = matrix_power_mod(T, steps, modulus)
     cells = 2 * g * np.arange(size)
     entries = table.entries.reshape(size, size)
+    # A one-axis f with a table constant along the other axis sums one line.
+    axis = _read_axis(f)
+    line = None
+    if axis is not None:
+        line = entries[:, :1] if axis == 0 else entries[:1, :]
+        if not (entries == line).all():
+            line = None
     total = 0.0
     rows_per_block = max(1, _MESH_BLOCK // size)
     for e1 in range(1 - g, g, 2):
         for e2 in range(1 - g, g, 2):
             d1, d2 = _step(m, e1, e2, modulus)
-            x1 = (cells + d1) % modulus / modulus
+            x1 = ((cells + d1) % modulus / modulus)[:, None]
             x2 = ((cells + d2) % modulus / modulus)[None, :]
+            if line is not None:
+                total += size * float(np.sum(np.abs(f(x1, x2) - line) ** 2))
+                continue
             for start in range(0, size, rows_per_block):
                 stop = min(start + rows_per_block, size)
-                diff = f(x1[start:stop, None], x2) - entries[start:stop]
+                diff = f(x1[start:stop], x2) - entries[start:stop]
                 total += float(np.sum(np.abs(diff) ** 2))
     return math.sqrt(total / (grid * grid))
 

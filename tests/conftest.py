@@ -31,7 +31,6 @@ from fractions import Fraction
 import numpy as np
 
 from torusdyn.discretize import (
-    _MESH_BLOCK,
     DiagonalObservable,
     Observable,
     _cell_axis_coordinates,
@@ -41,6 +40,10 @@ from torusdyn.entropy import Partition, ProbabilityTable, _classical_atom_matrix
 from torusdyn.lattice import LatticeConfig, matrix_power_mod, round_coordinates
 from torusdyn.maps import ToralMatrix, _step, matrix_power_entries
 from torusdyn.rectangles import TorusRectangle, cell_interval_pieces, pieces_overlap
+
+# Mesh points per block in `kernel_defect`: the oracle's own constant, so a
+# tuning change to the library's blocks cannot steer the oracle.
+_KERNEL_MESH_BLOCK = 1 << 22
 
 
 def lattice_word_sampler_mc(
@@ -309,7 +312,7 @@ def kernel_defect(
     # Single-step orbit walk of the rounded mesh, repeated |steps| times.
     one = matrix_power_mod(T, 1 if steps >= 0 else -1, size)
     total = 0.0
-    rows_per_block = max(1, _MESH_BLOCK // grid)
+    rows_per_block = max(1, _KERNEL_MESH_BLOCK // grid)
     for start in range(0, grid, rows_per_block):
         stop = min(start + rows_per_block, grid)
         x1 = axis[start:stop, None]

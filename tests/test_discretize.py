@@ -1,5 +1,6 @@
 """Cell-average coarse-graining, kernels, defects, and tracking guarantees."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +39,8 @@ ROT = quarter_turn()
 
 ONE = Observable.from_function(lambda x1, x2: np.ones(np.broadcast(x1, x2).shape), 1.0, "one")
 SIN1 = Observable.from_function(lambda x1, x2: np.sin(2 * np.pi * x1), 1.0, "sin-x1")
+COS2 = Observable.from_function(lambda x1, x2: np.cos(2 * np.pi * x2), 1.0, "cos-x2")
+SIN_SUM = Observable.from_function(lambda x1, x2: np.sin(2 * np.pi * (x1 + x2)), 1.0, "sin-sum")
 
 
 # --- exact rectangle geometry -------------------------------------------------
@@ -267,6 +270,47 @@ def test_defect_repeats_with_the_order_of_t_mod_twice_the_grid():
         assert egorov_defect(CAT, cfg, SIN1, j + 48, 32, table=table) == egorov_defect(
             CAT, cfg, SIN1, j, 32, table=table
         )
+
+
+def test_one_axis_observable_with_an_uneven_table_takes_the_full_mesh():
+    # The one-axis sum needs a table constant along the axis f ignores; any
+    # other table must give the full-mesh defect.
+    cfg = LatticeConfig(16)
+    tables = [(SIN1, discretize_aw(SIN_SUM, cfg, 4))]
+    for f, cell in ((SIN1, 37), (COS2, 200)):
+        entries = discretize_aw(f, cfg, 4).entries.copy()
+        entries[cell] += 1e-3
+        tables.append((f, DiagonalObservable(cfg, entries)))
+    for f, table in tables:
+        for j in (0, 3, 9):
+            d = egorov_defect(CAT, cfg, f, j, 48, table=table)
+            assert abs(d - egorov_defect_exact_mesh(CAT, cfg, f, j, 48, table)) <= 1e-12 * d, j
+
+
+def test_observable_of_full_shape_matches_its_one_axis_form():
+    # sin(2 pi x1) + 0 x2 returns the full broadcast shape, so it takes the
+    # general paths of both `discretize_aw` and `egorov_defect`.
+    cfg = LatticeConfig(48)
+    full = Observable.from_function(lambda x1, x2: np.sin(2 * np.pi * x1) + 0 * x2, 1.0)
+    line, mesh = discretize_aw(SIN1, cfg, 4), discretize_aw(full, cfg, 4)
+    assert np.max(np.abs(line.entries - mesh.entries)) <= 1e-15
+    for j in (0, 4, 11):
+        want = egorov_defect(CAT, cfg, SIN1, j, 96, table=line)
+        assert abs(egorov_defect(CAT, cfg, full, j, 96, table=mesh) - want) <= 1e-12 * want, j
+
+
+def test_one_axis_defect_allocates_no_mesh_sized_array():
+    size = 1024
+    cfg = LatticeConfig(size)
+    table = discretize_aw(SIN1, cfg, 4)
+    tracemalloc.start()
+    try:
+        egorov_defect(CAT, cfg, SIN1, 5, 2 * size, table=table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A quarter of one float64 N x N array.
+    assert peak < 2 * size * size
 
 
 # --- thresholds and guarantees -------------------------------------------------

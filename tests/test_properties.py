@@ -385,6 +385,7 @@ def test_dyadic_sampler_equals_python_int_orbit(T, size, preset, length, data):
 
 OBSERVABLES = [
     Observable.from_function(lambda x1, x2: np.sin(2 * np.pi * x1), 1.0, "sin-x1"),
+    Observable.from_function(lambda x1, x2: np.cos(2 * np.pi * x2), 1.0, "cos-x2"),
     Observable.from_function(
         lambda x1, x2: np.cos(2 * np.pi * (x1 + 2 * x2)) + x1 * x2**2, 2.0, "non-separable"
     ),
