@@ -9,11 +9,19 @@ hyperbolic maps the classical growth rate is the positive Lyapunov exponent,
 while the lattice growth must stall once words resolve structure finer than
 the lattice spacing — at word lengths of order log(size).
 
-Word packing convention (used on BOTH sides throughout this module): a word
-of length n over an alphabet of D atoms stores its step-k symbol at
-significance D**k, i.e. code = sum_k symbol_k * D**k.  Lattice and classical
-tables for the same partition are therefore directly comparable code by
-code.
+Two word packings, over an alphabet of D atoms:
+
+* Tables (`cs_probabilities`, `ProbabilityTable.from_counts`): a word of
+  length n stores its step-k symbol at significance D**k, i.e.
+  code = sum_k symbol_k * D**k.
+* The word counter (`_word_runs`): a walk of L steps stores its step-k
+  symbol at D**(L-1-k), oldest symbol most significant, so one sort of the
+  whole words orders every length at once; the length-n word is the code's
+  n-digit prefix, code // D**(L-n).  The tables it hands out (the Fannes
+  audit's) keep this packing, sum_k symbol_k * D**(n-1-k).
+
+Either way lattice and classical tables of the same length built the same
+way are directly comparable code by code.
 """
 from __future__ import annotations
 
@@ -57,7 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_UNALIGNED_CAP = 4096
-_EXACT_SUPPORT_CAP = 4096
 _MAX_ATOMS = 255
 _CODE_BIT_LIMIT = 62
 
@@ -220,16 +227,20 @@ def partition_bands_x2(count: int, name: str = "") -> Partition:
 
 
 def _boundary_values(rect: TorusRectangle) -> list[Fraction]:
-    vals = [rect.x_start, rect.y_start]
-    if rect.x_span != 1:
-        vals.append((rect.x_start + rect.x_span) % 1)
-    if rect.y_span != 1:
-        vals.append((rect.y_start + rect.y_span) % 1)
-    return vals
+    """The arc ends of an atom; a full-span arc has none, whatever its start."""
+    return [
+        v
+        for start, span in ((rect.x_start, rect.x_span), (rect.y_start, rect.y_span))
+        if span != 1
+        for v in (start, (start + span) % 1)
+    ]
 
 
 def is_aligned(partition: Partition, size: int) -> bool:
-    """True when every atom boundary sits on a lattice cell edge (k+1/2)/size."""
+    """True when every atom boundary sits on a lattice cell edge (k+1/2)/size.
+
+    The start of a full-span arc is no boundary and is not checked.
+    """
     for rect in partition.atoms:
         for v in _boundary_values(rect):
             scaled = v * 2 * size
@@ -253,9 +264,9 @@ def snap_partition(partition: Partition, size: int) -> tuple[Partition, float]:
     """Move every atom boundary to the nearest cell edge of an N x N lattice.
 
     Returns the snapped partition and the largest boundary displacement
-    (at most 1/(2 size)).  Raises ValueError when two distinct boundaries
-    of an atom land on the same edge — the lattice cannot resolve the
-    partition.
+    (at most 1/(2 size)).  A full-span arc has no boundary and stays as it
+    is.  Raises ValueError when two distinct boundaries of an atom land on
+    the same edge — the lattice cannot resolve the partition.
     """
     max_shift = Fraction(0)
     new_atoms = []
@@ -266,9 +277,7 @@ def snap_partition(partition: Partition, size: int) -> tuple[Partition, float]:
             ("y", (rect.y_start, rect.y_span)),
         ):
             if span == 1:
-                new_start = _snap_boundary(start, size)
-                max_shift = max(max_shift, _circle_gap(new_start, start))
-                spans[axis] = (new_start, Fraction(1))
+                spans[axis] = (start, span)
                 continue
             end = (start + span) % 1
             new_start = _snap_boundary(start, size)
@@ -501,18 +510,47 @@ def _entropy_of_fractions(values: list[Fraction]) -> float:
     return math.fsum(terms)
 
 
+def _entropy_of_counts(counts: np.ndarray, total: int) -> float:
+    """Entropy in nats of the masses counts/total, a function of the count-of-counts.
+
+    Each distinct count t with multiplicity m adds m copies of the float
+    -p log p, p = t/total; their sum is taken exactly and rounded once, as
+    `math.fsum` of all the copies would be.
+    """
+    top = int(counts.max())
+    if top <= 2 * counts.size:  # a histogram no longer than the counts beats a sort
+        hist = np.bincount(counts)
+        values = np.flatnonzero(hist)
+        multiplicities = hist[values]
+    else:
+        values, multiplicities = np.unique(counts, return_counts=True)
+    keep = values > 0
+    ratios = [
+        (-p * math.log(p)).as_integer_ratio()
+        for p in (values[keep] / total).tolist()
+    ]
+    # Every denominator is a power of two: sum exactly over the largest one.
+    bits = max(den.bit_length() for _, den in ratios) - 1
+    exact = sum(
+        num * m << (bits - den.bit_length() + 1)
+        for (num, den), m in zip(ratios, multiplicities[keep].tolist())
+    )
+    return exact / (1 << bits)
+
+
 def shannon_entropy(table: Union[ProbabilityTable, Sequence[Fraction]]) -> float:
     """Shannon entropy in nats.
 
-    Count-backed tables with small support take the canonical exact path:
-    count/total is the correctly rounded mass and `math.fsum` is correctly
-    rounded in any order, so equal distributions give bit-identical
-    entropies.  Everything else uses the vectorized float path.
+    Count-backed tables take the canonical exact path: count/total is the
+    correctly rounded mass and the sum of -p log p over the count-of-counts
+    is correctly rounded, so equal distributions give bit-identical
+    entropies at any support size.  Everything else uses the vectorized
+    float path.
     """
     if not isinstance(table, ProbabilityTable):
         return _entropy_of_fractions([Fraction(v) for v in table])
-    if table.is_exact and table.support_size <= _EXACT_SUPPORT_CAP:
-        return math.fsum(-p * math.log(p) for p in (table.counts / table.total).tolist() if p)
+    if table.is_exact:
+        return _entropy_of_counts(table.counts, table.total)
     p = table.probs[table.probs > 0]
     return float(-(p * np.log(p)).sum())
 
@@ -578,28 +616,114 @@ def _classical_atom_matrix(
     return out
 
 
-def _word_codes(symbol_steps, alphabet: int):
-    """The word counter: running packed codes of the words of each length.
+_PREFIX_BLOCK = 1 << 16
 
-    Takes one array of symbols per step (step k's symbol of every orbit)
-    and adds symbol * alphabet**k to the codes in place, yielding the same
-    array after each step; after step k it holds the length-(k+1) words in
-    the module's packing convention.  Read it (e.g. with
-    `ProbabilityTable.from_counts`) before asking for the next length.
+
+def _common_prefixes(codes: np.ndarray, alphabet: int, length: int) -> np.ndarray:
+    """Leading digits each sorted code shares with the one before it.
+
+    A -1 stands before the first code and after the last one, so the runs
+    of words of every length end where their successors start.
+
+    `codes` hold `length` base-`alphabet` digits.  Neighbours a < b first
+    differ at digit p (counted from the least significant), the largest m
+    with a multiple of alphabet**m in (a, b], i.e. with b mod alphabet**m <
+    b - a.  So p is at least e = floor(log(b - a)) (base alphabet), and it
+    passes e only when a multiple of alphabet**(e+1) lies in (a, b]: p is
+    then that multiple's count of trailing zero digits.  Worked in blocks,
+    so the temporaries stay small.
+    """
+    shared = np.full(codes.size + 1, length, dtype=np.min_scalar_type(-length))
+    shared[[0, -1]] = -1
+    if codes[0] == codes[-1]:  # always so with one atom, where log base 1 fails
+        return shared
+    powers = alphabet ** np.arange(length + 1, dtype=np.int64)
+    scale = 1 / math.log(alphabet)
+    for start in range(1, codes.size, _PREFIX_BLOCK):
+        later = codes[start:start + _PREFIX_BLOCK]
+        gap = later - codes[start - 1:start - 1 + later.size]
+        moved = np.flatnonzero(gap)  # equal neighbours share every digit
+        later, gap = later[moved], gap[moved]
+        # The float estimate is e or e + 1; the power it names decides which.
+        top = (np.log(gap) * scale + 1e-9).astype(np.intp)
+        top -= powers[top] > gap
+        above, rest = np.divmod(later, powers[top + 1])
+        carried = np.flatnonzero(rest < gap)
+        top[carried] += 1
+        multiple = above[carried]  # that multiple over alphabet**(e+1)
+        while carried.size:
+            more = multiple % alphabet == 0
+            carried, multiple = carried[more], multiple[more] // alphabet
+            top[carried] += 1
+        shared[start + moved] = length - 1 - top
+    return shared
+
+
+@dataclass(frozen=True, eq=False)
+class _Words:
+    """The words of one length among a sorted array of whole-walk codes.
+
+    The length-n words are the codes' n-digit prefixes; equal words are one
+    run of the sorted array, starting at `starts`, `counts` long.
+    """
+
+    length: int
+    alphabet: int
+    counts: np.ndarray
+    entropy: float
+    starts: np.ndarray
+    sorted_codes: np.ndarray
+    scale: int  # alphabet ** (walk length - length)
+
+    @property
+    def total(self) -> int:
+        return self.sorted_codes.size
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The distinct words, oldest symbol most significant, increasing."""
+        return self.sorted_codes[self.starts] // self.scale
+
+    def table(self) -> ProbabilityTable:
+        return ProbabilityTable(
+            length=self.length,
+            alphabet=self.alphabet,
+            codes=self.codes,
+            probs=self.counts / self.total,
+            counts=self.counts,
+            total=self.total,
+        )
+
+
+def _word_runs(symbol_steps, alphabet: int):
+    """The word counter: the words of every length of a set of walks, from one sort.
+
+    Takes one array of symbols per step (step k's symbol of every walk),
+    packs each walk's L symbols into one int64 code with step k's symbol at
+    significance alphabet**(L-1-k), sorts the codes once and yields the
+    `_Words` of lengths 1..L in turn.  A length-n run starts wherever
+    neighbours share fewer than n leading digits.  Past the longest shared
+    prefix every walk has a word of its own, and no length is counted.
     """
     codes = None
-    significance = 1
-    # Hold no step array while suspended (hence no enumerate, whose cached
-    # tuple keeps the last one): at N = 2048 the lattice's symbols take
-    # 4 MB and their int64 digits 33 MB.
+    length = 0
     for symbols in symbol_steps:
         if codes is None:
             codes = symbols.astype(np.int64)
         else:
-            significance *= alphabet
-            codes += symbols.astype(np.int64) * significance
-        del symbols
-        yield codes
+            codes *= alphabet
+            codes += symbols
+        length += 1
+    codes.sort()
+    shared = _common_prefixes(codes, alphabet, length)
+    total = codes.size
+    alone = int(shared.max()) + 1  # from this length on each walk has its own word
+    for n in range(1, length + 1):
+        if n <= max(alone, 1):
+            bounds = np.flatnonzero(shared < n)
+            starts, counts = bounds[:-1], np.diff(bounds)
+            entropy = _entropy_of_counts(counts, total)
+        yield _Words(n, alphabet, counts, entropy, starts, codes, alphabet ** (length - n))
 
 
 @dataclass(frozen=True)
@@ -648,10 +772,9 @@ def ks_entropy_rate(
     atoms = _classical_atom_matrix(T, partition, n_max, samples, seed)
     entropies = [0.0]
     supports = []
-    for n, codes in enumerate(_word_codes(atoms, d), 1):
-        table = ProbabilityTable.from_counts(codes, n, d)
-        entropies.append(shannon_entropy(table))
-        supports.append(table.support_size)
+    for words in _word_runs(atoms, d):
+        entropies.append(words.entropy)
+        supports.append(words.counts.size)
     increments = tuple(entropies[n] - entropies[n - 1] for n in range(1, n_max + 1))
     rates = tuple(entropies[n] / n for n in range(1, n_max + 1))
     return KSEntropyReport(
@@ -732,8 +855,17 @@ def cs_probabilities(
     weights = _checked_weights(cfg, partition, capacity, weights)
     d = len(partition)
     if weights.aligned:
-        *_, codes = _word_codes(_orbit_atoms(T, weights, length, capacity), d)
-        return ProbabilityTable.from_counts(codes, length, d)
+        *_, words = _word_runs(_orbit_atoms(T, weights, length, capacity), d)
+        # Reverse the digits into the table packing, step k at d**k.
+        rest = words.codes
+        codes = np.zeros_like(rest)
+        for _ in range(length):
+            codes = codes * d + rest % d
+            rest = rest // d
+        order = np.argsort(codes)
+        counts = words.counts[order]
+        return ProbabilityTable(length=length, alphabet=d, codes=codes[order],
+                                probs=counts / cfg.points, counts=counts, total=cfg.points)
     space = d**length
     if space > unaligned_cap:
         raise AlignmentRequiredError(
@@ -784,8 +916,8 @@ def cs_entropies(
     """Lattice word entropies S_1..S_n_max of an aligned partition, one orbit pass.
 
     Bit for bit `cs_entropy` at each length; raises AlignmentRequiredError
-    for an unaligned partition (snap it to the lattice first).  The walk stops
-    once the words separate all N**2 points: longer words refine them.
+    for an unaligned partition (snap it to the lattice first).  Counting
+    stops once the words separate all N**2 points: longer words refine them.
     """
     d = len(partition)
     _check_word_space(n_max, d)
@@ -793,10 +925,9 @@ def cs_entropies(
     if not weights.aligned:
         raise AlignmentRequiredError("one-pass lattice entropies need an aligned partition")
     entropies = []
-    for n, codes in enumerate(_word_codes(_orbit_atoms(T, weights, n_max, capacity), d), 1):
-        table = ProbabilityTable.from_counts(codes, n, d)
-        entropies.append(shannon_entropy(table))
-        if table.support_size == cfg.points:
+    for words in _word_runs(_orbit_atoms(T, weights, n_max, capacity), d):
+        entropies.append(words.entropy)
+        if words.counts.size == cfg.points:
             break
     return entropies + entropies[-1:] * (n_max - len(entropies))
 
@@ -932,9 +1063,9 @@ def compare_entropy_production(
     """Run the lattice/classical entropy comparison over a ladder of sizes.
 
     For each lattice size the partition is snapped to the cell edges, the
-    lattice word entropies are accumulated incrementally over one pass of
+    lattice word entropies of every length are read off one sorted pass of
     the discrete orbit, and the classical side is estimated by Monte Carlo
-    with an independent child seed per size.
+    with an independent child seed per size, its words sorted once too.
 
     Breaking time at a size is the first word length where lattice entropy
     production visibly stalls.  For hyperbolic maps the per-step lattice
@@ -952,8 +1083,8 @@ def compare_entropy_production(
     a total-variation entropy continuity check; larger pairs record NaN
     and are skipped (the entropy and breaking outputs never depend on
     these diagnostics).  Once the lattice words separate all N**2 >=
-    `diff_support_cap` points, so that no longer length is audited, the walk
-    stops: longer words refine them, so S_cs stays at that log N**2.
+    `diff_support_cap` points, so that no longer length is audited, lattice
+    counting stops: longer words refine them, so S_cs stays at that log N**2.
     """
     _check_word_space(n_max, len(partition))
     sizes = tuple(int(s) for s in sizes)
@@ -988,20 +1119,19 @@ def compare_entropy_production(
         snap_shifts.append(shift)
         weights = cell_weights(snapped, cfg)
         atoms_mc = _classical_atom_matrix(T, snapped, n_max, samples, children[i], weights)
-        lattice_words = _word_codes(_orbit_atoms(T, weights, n_max, capacity), d)
+        lattice = _word_runs(_orbit_atoms(T, weights, n_max, capacity), d)
         brk: Optional[int] = None
-        for n, ks_codes in enumerate(_word_codes(atoms_mc, d), 1):
+        for n, ks in enumerate(_word_runs(atoms_mc, d), 1):
             k = n - 1
-            if lattice_words is not None:
-                cs_table = ProbabilityTable.from_counts(next(lattice_words), n, d)
-                s_cs[i, n:] = shannon_entropy(cs_table)  # holds until a longer table
-                if cs_table.support_size == cfg.points >= diff_support_cap:
-                    lattice_words.close()
-                    lattice_words = None
-            ks_table = ProbabilityTable.from_counts(ks_codes, n, d)
-            s_ks[i, n] = shannon_entropy(ks_table)
-            if cs_table.support_size + ks_table.support_size <= diff_support_cap:
-                pa, pb = _probs_on_union(cs_table, ks_table)
+            if lattice is not None:
+                cs = next(lattice)
+                s_cs[i, n:] = cs.entropy  # holds until a longer length
+                if cs.counts.size == cfg.points >= diff_support_cap:
+                    lattice.close()
+                    lattice = None
+            s_ks[i, n] = ks.entropy
+            if cs.counts.size + ks.counts.size <= diff_support_cap:
+                pa, pb = _probs_on_union(cs.table(), ks.table())
                 diff = np.abs(pa - pb)
                 eps_hat[i, k] = float(diff.max()) if diff.size else 0.0
                 delta = float(diff.sum())

@@ -20,7 +20,7 @@ masses of the continuous map by Sutherland-Hodgman clipping of pulled-back
 boxes (`clip_polygon_halfplane`, `clip_polygon_to_box`) and the shoelace
 `polygon_area`, all in `Fraction` arithmetic.  `classical_probabilities_mc`
 is the library's own Monte Carlo word table at one length, composed from its
-sampler, word counter and histogram.  `diameter_bruteforce_full_grid` takes
+sampler and histogram.  `diameter_bruteforce_full_grid` takes
 `np.hypot` at every point of a freshly built angular grid.
 """
 from __future__ import annotations
@@ -36,7 +36,7 @@ from torusdyn.discretize import (
     _cell_axis_coordinates,
     _indicator_entries,
 )
-from torusdyn.entropy import Partition, ProbabilityTable, _classical_atom_matrix, _word_codes
+from torusdyn.entropy import Partition, ProbabilityTable, _classical_atom_matrix
 from torusdyn.lattice import LatticeConfig, matrix_power_mod, round_coordinates
 from torusdyn.maps import ToralMatrix, _step, matrix_power_entries
 from torusdyn.rectangles import TorusRectangle, cell_interval_pieces, pieces_overlap
@@ -152,13 +152,13 @@ def atom_of_cell_bruteforce(partition: Partition, size: int) -> np.ndarray:
     """Flat cell -> atom map of an aligned partition, cell by cell in Fractions.
 
     Cell p on an axis is the arc [(p - 1/2)/size, (p + 1/2)/size); it lies in
-    an atom's arc exactly when its start, measured from the atom's start,
-    leaves room for the whole cell.
+    an atom's arc exactly when the arc is the whole circle or the cell's
+    start, measured from the atom's start, leaves room for the whole cell.
     """
     width = Fraction(1, size)
 
     def inside(p: int, start: Fraction, span: Fraction) -> bool:
-        return (Fraction(2 * p - 1, 2 * size) - start) % 1 + width <= span
+        return span == 1 or (Fraction(2 * p - 1, 2 * size) - start) % 1 + width <= span
 
     out = np.empty(size * size, dtype=np.int64)
     for p1 in range(size):
@@ -363,12 +363,13 @@ def egorov_defect_exact_mesh(
 def classical_probabilities_mc(T, partition: Partition, length: int, samples: int, seed):
     """Monte Carlo table of the continuous map's words of one length, from `seed`.
 
-    The library's sampler, word counter and histogram on the same
-    arguments, so the table is the one `ks_entropy_rate` reads at `length`.
+    The library's sampler on the same arguments as `ks_entropy_rate`, its
+    words packed step k at alphabet**k and histogrammed by `from_counts`.
     """
     atoms = _classical_atom_matrix(T, partition, length, samples, seed)
-    *_, codes = _word_codes(atoms, len(partition))
-    return ProbabilityTable.from_counts(codes, length, len(partition))
+    alphabet = len(partition)
+    codes = sum(row.astype(np.int64) * alphabet**k for k, row in enumerate(atoms))
+    return ProbabilityTable.from_counts(codes, length, alphabet)
 
 
 def diameter_bruteforce_full_grid(T: ToralMatrix, n: int, samples: int) -> float:

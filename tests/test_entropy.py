@@ -1,15 +1,18 @@
 """Word distributions and entropy production, lattice vs continuous."""
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from torusdyn import entropy
 from torusdyn.cli import EXIT_VALIDATION, main
 from torusdyn.entropy import (
     _classical_atom_matrix,
+    _common_prefixes,
     _probs_on_union,
-    _word_codes,
+    _word_runs,
     AlignmentRequiredError,
     DimensionMismatchError,
     Partition,
@@ -154,6 +157,20 @@ def test_alignment_detection():
     assert again.atoms == snapped.atoms
 
 
+def test_full_span_arc_start_is_no_boundary():
+    # Four x2-bands on the cell edges (2k+1)/16 of N = 8, each spanning all
+    # of x1 from 0: their only boundaries are on cell edges, so the
+    # partition is aligned, snaps to itself and takes the counting path.
+    bands = Partition(tuple(_rect(0, 1, Fraction(4 * k + 1, 16), "1/4") for k in range(4)))
+    cfg = LatticeConfig(8)
+    assert is_aligned(bands, 8)
+    snapped, shift = snap_partition(bands, 8)
+    assert snapped == bands and shift == 0.0
+    one_pass = cs_entropies(CAT, cfg, bands, 7)
+    assert one_pass == [cs_entropy(CAT, cfg, bands, n) for n in range(1, 8)]
+    assert cs_probabilities(CAT, cfg, bands, 7).is_exact  # past the unaligned cap
+
+
 def test_snap_ties_move_upward():
     part = Partition((_rect(0, "1/2", 0, 1), _rect("1/2", "1/2", 0, 1)), name="h")
     snapped, _ = snap_partition(part, 8)
@@ -230,16 +247,48 @@ def test_cell_weights_unaligned_rows_sum_to_one():
 
 
 def test_word_codes_roundtrip():
-    # _word_codes packs the step-k symbol at significance alphabet**k, and the
-    # base-alphabet digits of each code give the word back
-    words = np.array([(0, 0, 0, 0), (3, 1, 2, 0), (1, 0, 0, 2), (3, 3, 3, 3)], dtype=np.uint8)
+    # The counter packs the step-k symbol of an L-step walk at alphabet**(L-1-k)
+    # and yields each length's distinct words, as n-digit prefixes, with
+    # their counts; the base-alphabet digits of each code give the word back.
+    words = np.array([(0, 0, 0, 0), (3, 1, 2, 0), (1, 0, 0, 2), (3, 3, 3, 3), (3, 1, 2, 1)],
+                     dtype=np.uint8)
     steps = [words[:, k].copy() for k in range(4)]
-    for n, codes in enumerate(_word_codes(steps, 4), 1):
-        want = [sum(int(s) * 4**k for k, s in enumerate(w[:n])) for w in words]
-        assert codes.tolist() == want
-        for code, w in zip(codes.tolist(), words):
-            assert [code // 4**k % 4 for k in range(n)] == w[:n].tolist()
-    assert codes[1] == 3 + 1 * 4 + 2 * 16  # step order = significance order
+    runs = list(_word_runs(steps, 4))
+    assert [r.length for r in runs] == [1, 2, 3, 4]
+    for n, r in enumerate(runs, 1):
+        want = Counter(tuple(w[:n].tolist()) for w in words)
+        got = {}
+        for code, count in zip(r.codes.tolist(), r.counts.tolist()):
+            got[tuple(code // 4 ** (n - 1 - k) % 4 for k in range(n))] = count
+        assert got == dict(want)
+        assert r.codes.tolist() == sorted(r.codes.tolist())
+        assert r.total == len(words)
+    # step order = significance order, oldest symbol most significant
+    assert runs[2].codes.tolist()[2] == 3 * 16 + 1 * 4 + 2
+    assert runs[2].counts.tolist()[2] == 2
+    # a single walk has a word of its own at every length
+    single = _word_runs([np.array([2], dtype=np.uint8)] * 3, 4)
+    assert [(r.codes.tolist(), r.counts.tolist(), r.entropy) for r in single] == [
+        ([2], [1], 0.0), ([10], [1], 0.0), ([42], [1], 0.0)]
+
+
+@pytest.mark.parametrize("alphabet", [2, 3, 4, 5])
+def test_common_prefixes_at_powers_of_the_alphabet(alphabet):
+    # Gaps of exactly alphabet**k and one either side, up to the 62-bit
+    # ceiling, where the float estimate of the leading digit is closest to
+    # wrong; against Python-integer prefixes.
+    length = math.floor(62 / math.log2(alphabet))
+    top = alphabet**length - 1
+    for k in range(length):
+        for gap in (alphabet**k - 1, alphabet**k, alphabet**k + 1):
+            # the last low carries into digit k + 1 when gap = alphabet**k + 1
+            for low in (0, (top - gap) // 3, top - gap, alphabet ** (k + 1) - 1):
+                if gap == 0 or low + gap > top:
+                    continue
+                shared = _common_prefixes(np.array([low, low + gap]), alphabet, length)
+                want = max(n for n in range(length + 1)
+                           if low // alphabet ** (length - n) == (low + gap) // alphabet ** (length - n))
+                assert shared.tolist() == [-1, want, -1], (k, gap, low)
 
 
 def test_word_space_guard():
@@ -536,24 +585,26 @@ def test_compare_hyperbolic_ladder():
 def test_compare_stops_the_lattice_walk_at_separation(monkeypatch):
     """Past the length whose words separate every lattice point nothing changes.
 
-    With N**2 at or above the audit cap, the walk stops there: S_cs repeats
-    log N**2, the classical side and the breaking outputs are untouched, and
-    no later lattice table is built (7 and 9 lattice tables instead of 14).
+    With N**2 at or above the audit cap, lattice counting stops there: S_cs
+    repeats log N**2, the classical side and the breaking outputs are
+    untouched, and the lattice counter yields no later length (7 and 9
+    lengths instead of 14).
     """
     part = partition_quadrants()
     sizes = (32, 64)
     default = compare_entropy_production(CAT, part, 14, sizes, 50_000, seed=3)
-    lengths = []
-    from_counts = ProbabilityTable.from_counts
+    yielded = Counter()
 
-    def counting(values, length, alphabet):
-        lengths.append(length)
-        return from_counts(values, length, alphabet)
+    def counting(symbol_steps, alphabet):
+        for words in word_runs(symbol_steps, alphabet):
+            yielded[words.total] += 1
+            yield words
 
-    monkeypatch.setattr(ProbabilityTable, "from_counts", staticmethod(counting))
+    word_runs = entropy._word_runs
+    monkeypatch.setattr(entropy, "_word_runs", counting)
     capped = compare_entropy_production(CAT, part, 14, sizes, 50_000, seed=3, diff_support_cap=1024)
     monkeypatch.undo()
-    assert len(lengths) == 2 * 14 + 7 + 9
+    assert yielded == {32**2: 7, 64**2: 9, 50_000: 2 * 14}
     assert capped.s_ks.tobytes() == default.s_ks.tobytes()
     assert capped.breaking == default.breaking and capped.slope == default.slope
     assert capped.fannes_violations == 0
@@ -569,7 +620,9 @@ def test_compare_stops_the_lattice_walk_at_separation(monkeypatch):
         assert capped.s_cs[i].tolist() == want
         weights = cell_weights(snapped, cfg)
         atoms = _classical_atom_matrix(CAT, snapped, 14, 50_000, children[i], weights)
-        for n, codes in enumerate(_word_codes(atoms, 4), 1):
+        codes = np.zeros(atoms.shape[1], dtype=np.int64)
+        for n, symbols in enumerate(atoms, 1):
+            codes += symbols.astype(np.int64) * 4 ** (n - 1)
             audited = supports[n - 1] + np.unique(codes).size <= 1024
             got, full = capped.eps_hat[i, n - 1], default.eps_hat[i, n - 1]
             assert (got == full) if audited else math.isnan(got), (size, n)

@@ -1,6 +1,7 @@
 """Properties of the shared lattice step, matrix powers, orbit periods, the
-permutation table and the orbit walk on it, word counter, exact entropy,
-the dyadic classical sampler and Egorov defect.
+permutation table and the orbit walk on it, partition snapping, word
+counter, tables and exact entropy, the dyadic classical sampler and Egorov
+defect.
 
 Random unimodular matrices with entries in [-5, 5] are checked against
 Python-integer, coordinate-walk, cycle-walk and exact-mesh oracles; the
@@ -10,6 +11,7 @@ and the CLI, and the unsigned power-of-two step against Python integers.
 import functools
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,9 +27,11 @@ from torusdyn.entropy import (
     _classical_atom_matrix,
     _entropy_of_fractions,
     _orbit_atoms,
+    _word_runs,
     cell_weights,
     cs_entropies,
     cs_entropy,
+    is_aligned,
     partition_bands_x2,
     partition_halves_x1,
     partition_halves_x2,
@@ -277,6 +281,43 @@ def test_orbit_atoms_gather_equals_step_walk(T, size, partition, length):
         assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
+# --- snapping a partition to the lattice -----------------------------------------
+
+
+@st.composite
+def grid_partitions(draw, size: int):
+    """Products of one cut circle per axis; cuts land anywhere or on cell edges.
+
+    One cut makes a full-span arc starting there; more cut the circle into
+    arcs, the last one wrapping the seam.
+    """
+    anywhere = st.fractions(0, 1, max_denominator=48).filter(lambda f: f < 1)
+    on_edge = st.integers(0, size - 1).map(lambda k: Fraction(2 * k + 1, 2 * size))
+    axes = []
+    for _ in range(2):
+        cuts = sorted(draw(st.lists(st.one_of(anywhere, on_edge), min_size=1, max_size=3,
+                                    unique=True)))
+        spans = [(b - a) % 1 for a, b in zip(cuts, cuts[1:] + cuts[:1])]
+        axes.append([(a, w or Fraction(1)) for a, w in zip(cuts, spans)])
+    return Partition(tuple(TorusRectangle(xs, xw, ys, yw)
+                           for xs, xw in axes[0] for ys, yw in axes[1]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), grid_partitions(n))))
+def test_snap_invariants(case):
+    size, partition = case
+    try:
+        snapped, shift = snap_partition(partition, size)
+    except ValueError:  # two boundaries of an atom on one cell edge
+        assume(False)
+    assert is_aligned(snapped, size)
+    assert shift <= 1 / (2 * size)
+    assert snap_partition(snapped, size) == (snapped, 0.0)
+    if is_aligned(partition, size):
+        assert (snapped, shift) == (partition, 0.0)
+
+
 # --- the word counter ------------------------------------------------------------
 
 
@@ -300,10 +341,55 @@ def test_one_pass_entropies_equal_per_length_cs_entropy(T, size, partition, n_ma
     assert np.array(one_pass).tobytes() == np.array(per_length).tobytes()
 
 
+# One preset per alphabet size, and the longest word its 62-bit codes hold.
+ALPHABETS = {
+    2: partition_halves_x2(),
+    3: partition_bands_x2(3),
+    4: partition_quadrants(),
+    5: partition_bands_x2(5),
+}
+CEILING = {d: math.floor(62 / math.log2(d)) for d in ALPHABETS}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(st.none(), matrices),
+    st.sampled_from(sorted(ALPHABETS)),
+    st.integers(2, 40),
+    st.integers(1, 62),
+    st.lists(st.integers(1, 62), max_size=3),
+)
+@example(cat_map(), 3, 9, 62, [])
+@example(None, 5, 10, 62, [])
+def test_word_runs_equal_a_counter_of_word_tuples(T, d, size, length, checked):
+    """Every length's codes and counts, against a Counter of the walks' word tuples;
+    the one-pass entropies at the longest and the `checked` lengths, against
+    `cs_entropy`."""
+    try:
+        snapped, _ = snap_partition(ALPHABETS[d], size)
+    except ValueError:  # too coarse a lattice to resolve the partition
+        assume(False)
+    length = min(length, CEILING[d])
+    cfg = LatticeConfig(size)
+    steps = list(_orbit_atoms(T, cell_weights(snapped, cfg), length, DEFAULT_CAPACITY))
+    walks = list(zip(*(symbols.tolist() for symbols in steps)))
+    runs = list(_word_runs(steps, d))
+    assert [words.length for words in runs] == list(range(1, length + 1))
+    for n, words in enumerate(runs, 1):
+        tally = Counter(walk[:n] for walk in walks)
+        want = sorted((int("".join(map(str, word)), d), count)
+                      for word, count in tally.items())
+        assert list(zip(words.codes.tolist(), words.counts.tolist())) == want, n
+    one_pass = cs_entropies(T, cfg, snapped, length)
+    for n in sorted({length, *(min(n, length) for n in checked)}):
+        assert one_pass[n - 1].hex() == cs_entropy(T, cfg, snapped, n).hex(), n
+
+
 # --- exact entropy and the dyadic classical sampler ------------------------------
 
 
 @given(st.lists(st.one_of(st.integers(1, 20), st.integers(1, 1 << 40)), min_size=1, max_size=300))
+@example([1] * 200 + [4] * 100)  # 200 times a term is not one rounded product
 def test_exact_path_entropy_equals_sorted_fractions(counts):
     total = sum(counts)
     arr = np.array(counts, dtype=np.int64)
@@ -312,6 +398,19 @@ def test_exact_path_entropy_equals_sorted_fractions(counts):
     got = shannon_entropy(table)
     want = _entropy_of_fractions([Fraction(c, total) for c in counts])
     assert got.hex() == want.hex()
+
+
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+def test_from_counts_equals_unique(alphabet, length, data):
+    space = alphabet**length
+    values = np.array(data.draw(st.lists(st.integers(0, space - 1), min_size=1, max_size=200)),
+                      dtype=np.int64)
+    table = ProbabilityTable.from_counts(values, length, alphabet)
+    codes, counts = np.unique(values, return_counts=True)
+    assert table.codes.tolist() == codes.tolist()
+    assert table.counts.tolist() == counts.tolist()
+    assert int(table.counts.sum()) == table.total == values.size
+    assert table.probs.tolist() == (counts / values.size).tolist()
 
 
 PRESETS = [
