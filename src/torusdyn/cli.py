@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -97,6 +98,13 @@ def parse_int_list(value) -> tuple[int, ...]:
     if not tokens:
         raise ValueError("expected at least one integer")
     return tuple(int(t) for t in tokens)
+
+
+def parse_finite_float(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
 
 
 def parse_bool(value) -> bool:
@@ -353,7 +361,7 @@ _CLASSIFY_OPTS = [
         help="four integers t11 t12 t21 t22, row-major"),
     Opt("size", int, flag_type=int,
         help="lattice size; with gamma, also reports the breaking-time estimate"),
-    Opt("gamma", float, default=2.0, flag_type=float,
+    Opt("gamma", parse_finite_float, default=2.0, flag_type=float,
         help="form factor for the breaking-time estimate (default 2.0)"),
     Opt("steps", int, default=0, flag_type=int,
         help="also report growth scale and diameter at this step count"),
@@ -462,9 +470,9 @@ _LOCALIZE_OPTS = [
     Opt("steps", int, required=True, flag_type=int, help="step count n"),
     Opt("check", str, default="localization", choices=("localization", "shadowing"),
         help="which guarantee to test (default localization)"),
-    Opt("gamma", float, default=2.0, flag_type=float,
+    Opt("gamma", parse_finite_float, default=2.0, flag_type=float,
         help="form factor recorded alongside the localization check (default 2.0)"),
-    Opt("d0", float, default=0.1, flag_type=float,
+    Opt("d0", parse_finite_float, default=0.1, flag_type=float,
         help="separation distance for the localization check (default 0.1)"),
     Opt("trials", int, default=100000, flag_type=int,
         help="random pairs/orbits to sample (default 100000)"),
@@ -556,10 +564,10 @@ _ENTROPY_OPTS = [
         help="classical Monte Carlo sample count (default 100000)"),
     Opt("seed", int, flag_type=int,
         help="RNG seed (mandatory for mode=compare)"),
-    Opt("break-increment-fraction", float, default=0.5, flag_type=float,
+    Opt("break-increment-fraction", parse_finite_float, default=0.5, flag_type=float,
         help="hyperbolic stall detector: increment below this fraction of the "
              "classical rate (default 0.5)"),
-    Opt("abs-gap-threshold", float, default=0.05, flag_type=float,
+    Opt("abs-gap-threshold", parse_finite_float, default=0.05, flag_type=float,
         help="non-hyperbolic breaking threshold on |S_ks - S_cs| (default 0.05)"),
     Opt("capacity", int, default=DEFAULT_CAPACITY, flag_type=int,
         help=f"largest allowed lattice point count (default {DEFAULT_CAPACITY})"),

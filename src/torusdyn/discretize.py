@@ -27,14 +27,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .lattice import (
-    LatticeConfig,
-    TorusPoint,
-    matrix_power_mod,
-    round_coordinates,
-    round_to_lattice,
-    torus_distance_arrays,
-)
+from .lattice import LatticeConfig, matrix_power_mod, round_coordinates, torus_distance_arrays
 from .maps import (
     Family,
     SpectralData,
@@ -43,14 +36,13 @@ from .maps import (
     scaling_function,
     _step,
 )
-from .rectangles import TorusRectangle, _cell_overlaps
+from .rectangles import TorusRectangle, _cell_overlaps, _check_disjoint
 
 __all__ = [
     "ThresholdUnmetError",
     "Observable",
     "DiagonalObservable",
     "discretize_aw",
-    "kernel",
     "kernel_many",
     "egorov_defect",
     "localization_threshold",
@@ -81,9 +73,9 @@ class Observable:
     """A bounded torus function: vectorized callable plus declared sup bound.
 
     `fn` maps coordinate arrays (x1, x2) in [0, 1) to values.  When the
-    function is an indicator of a finite union of rational rectangles, pass
-    them as `rectangles`; cell averages are then computed by exact interval
-    overlap instead of quadrature.
+    function is an indicator of a finite union of pairwise disjoint rational
+    rectangles, pass them as `rectangles`; cell averages are then computed
+    by exact interval overlap instead of quadrature.
     """
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -94,6 +86,7 @@ class Observable:
     def __post_init__(self) -> None:
         if not (self.bound >= 0.0) or not math.isfinite(self.bound):
             raise ValueError(f"observable bound must be finite and >= 0, got {self.bound}")
+        _check_disjoint(self.rectangles or (), "indicator rectangles")
 
     @classmethod
     def from_function(
@@ -205,19 +198,6 @@ def discretize_aw(f: Observable, cfg: LatticeConfig, quadrature: int = 1) -> Dia
     return DiagonalObservable(cfg, entries.ravel())
 
 
-def kernel(T: ToralMatrix, cfg: LatticeConfig, n: int, x: TorusPoint, y: TorusPoint) -> int:
-    """Two-point correspondence kernel: 1 iff U**n carries cell(x) to cell(y).
-
-    Exact integer comparison of U**n(round(x)) with round(y); the squared
-    kernel summed against the normalized counting measure in y therefore
-    integrates to exactly 1 for every x.
-    """
-    p = round_to_lattice(x, cfg)
-    q = round_to_lattice(y, cfg)
-    m = matrix_power_mod(T, n, cfg.size)
-    return 1 if _step(m, p.p1, p.p2, cfg.size) == (q.p1, q.p2) else 0
-
-
 def kernel_many(
     T: ToralMatrix,
     cfg: LatticeConfig,
@@ -227,10 +207,12 @@ def kernel_many(
     y1: np.ndarray,
     y2: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized kernel evaluation over paired coordinate arrays.
+    """Two-point correspondence kernel K(x, y) over paired coordinate arrays.
 
-    Raises OverflowError when the int64 lattice step could overflow
-    (N above about 2**31).
+    K is 1 iff U**n carries cell(x) to cell(y): an exact integer comparison
+    of U**n(round(x)) with round(y), so for every x exactly one lattice
+    cell y has K = 1.  Raises OverflowError when the int64 lattice step
+    could overflow (N above about 2**31).
     """
     size = cfg.size
     m = matrix_power_mod(T, n, size)
@@ -400,6 +382,8 @@ def check_dynamical_localization(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not gamma > 1.0:  # NaN fails too
+        raise ValueError(f"gamma must exceed 1, got {gamma}")
     data = classify(T)
     rng = np.random.default_rng(seed)
     xs = rng.random((trials, 2))

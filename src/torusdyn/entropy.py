@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .lattice import (
     DEFAULT_CAPACITY, CapacityExceededError, LatticeConfig, build_permutation, matrix_power_mod,
 )
 from .maps import Family, ToralMatrix, classify, _step
-from .rectangles import TorusRectangle, _cell_overlaps, rectangle_overlap_area
+from .rectangles import TorusRectangle, _cell_overlaps, _check_disjoint
 
 __all__ = [
     "AlignmentRequiredError",
@@ -53,9 +53,6 @@ __all__ = [
     "cell_weights",
     "ProbabilityTable",
     "shannon_entropy",
-    "partition_entropy",
-    "KSEntropyReport",
-    "ks_entropy_rate",
     "cs_probabilities",
     "cs_entropy",
     "cs_entropies",
@@ -64,7 +61,8 @@ __all__ = [
     "fannes_bound",
 ]
 
-DEFAULT_UNALIGNED_CAP = 4096
+# Largest word space (alphabet**length) of the dense unaligned recursion.
+_UNALIGNED_CAP = 4096
 _MAX_ATOMS = 255
 _CODE_BIT_LIMIT = 62
 
@@ -102,16 +100,10 @@ class Partition:
         total = sum((a.area for a in atoms), Fraction(0))
         if total != 1:
             raise ValueError(f"atom areas must sum to exactly 1, got {total}")
-        for i in range(len(atoms)):
-            for j in range(i + 1, len(atoms)):
-                if rectangle_overlap_area(atoms[i], atoms[j]) != 0:
-                    raise ValueError(f"atoms {i} and {j} overlap")
+        _check_disjoint(atoms, "atoms")
 
     def __len__(self) -> int:
         return len(self.atoms)
-
-    def atom_measures(self) -> tuple[Fraction, ...]:
-        return tuple(a.area for a in self.atoms)
 
     @cached_property
     def _atom_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -483,31 +475,11 @@ class ProbabilityTable:
     def is_exact(self) -> bool:
         return self.counts is not None
 
-    @property
-    def support_size(self) -> int:
-        return int(self.codes.size)
-
     def probability(self, code: int) -> float:
         i = int(np.searchsorted(self.codes, code))
         if i < self.codes.size and self.codes[i] == code:
             return float(self.probs[i])
         return 0.0
-
-
-def _entropy_of_fractions(values: list[Fraction]) -> float:
-    """Canonical exact-input entropy in nats: sort, then fsum of -p log p.
-
-    Two distributions with the same multiset of rational masses produce
-    bit-identical results, whatever order or labels they arrived with.
-    """
-    terms = []
-    for f in sorted(values):
-        if f < 0 or f > 1:
-            raise ValueError(f"probability {f} outside [0, 1]")
-        if f != 0:
-            p = float(f)
-            terms.append(-p * math.log(p))
-    return math.fsum(terms)
 
 
 def _entropy_of_counts(counts: np.ndarray, total: int) -> float:
@@ -538,26 +510,19 @@ def _entropy_of_counts(counts: np.ndarray, total: int) -> float:
     return exact / (1 << bits)
 
 
-def shannon_entropy(table: Union[ProbabilityTable, Sequence[Fraction]]) -> float:
+def shannon_entropy(table: ProbabilityTable) -> float:
     """Shannon entropy in nats.
 
     Count-backed tables take the canonical exact path: count/total is the
     correctly rounded mass and the sum of -p log p over the count-of-counts
     is correctly rounded, so equal distributions give bit-identical
-    entropies at any support size.  Everything else uses the vectorized
-    float path.
+    entropies at any support size.  Other tables use the vectorized float
+    path.
     """
-    if not isinstance(table, ProbabilityTable):
-        return _entropy_of_fractions([Fraction(v) for v in table])
     if table.is_exact:
         return _entropy_of_counts(table.counts, table.total)
     p = table.probs[table.probs > 0]
     return float(-(p * np.log(p)).sum())
-
-
-def partition_entropy(partition: Partition) -> float:
-    """Entropy of the atom measures, via the canonical exact path."""
-    return _entropy_of_fractions(list(partition.atom_measures()))
 
 
 # ---------------------------------------------------------------------------
@@ -567,11 +532,10 @@ def partition_entropy(partition: Partition) -> float:
 
 def _classical_atom_matrix(
     T: Optional[ToralMatrix],
-    partition: Partition,
+    weights: CellWeightTable,
     length: int,
     samples: int,
     seed,
-    weights: Optional[CellWeightTable] = None,
 ) -> np.ndarray:
     """uint8 matrix (length, samples): atom of T**k(x) for random x, exactly.
 
@@ -580,15 +544,15 @@ def _classical_atom_matrix(
     (Percival and Vivaldi, Physica D 25, 1987) is `_step` mod 2**bits.  With
     the aligned `weights` of a partition snapped to N x N, x lies in the atom
     of cell ((2N a + 2**bits) >> (bits + 1)) mod N, where bits = min(53, 64 -
-    bit_length(2N)) keeps 2N a + 2**bits below 2**64; otherwise bits = 53 and
-    `partition.atom_index` reads the exact floats a 2**-53.  Being the lattice
+    bit_length(2N)) keeps 2N a + 2**bits below 2**64.  Being the lattice
     orbit at side 2**bits, it stops imitating a hyperbolic T near n = 2 bits
     log 2 / xi (72.0 steps of the cat map at 50 bits): longer words raise
     ValueError.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    bits = 53 if weights is None else min(53, 64 - (2 * weights.cfg.size).bit_length())
+    size = weights.cfg.size
+    bits = min(53, 64 - (2 * size).bit_length())
     xi = classify(T).xi if T is not None else 0.0
     if xi and length >= 2 * bits * math.log(2) / xi:
         raise ValueError(f"word length {length} reaches the {2 * bits * math.log(2) / xi:.1f}-"
@@ -596,10 +560,8 @@ def _classical_atom_matrix(
     rng = np.random.default_rng(seed)
     a1 = (rng.random(samples) * 2.0**53).astype(np.uint64) >> (53 - bits)
     a2 = (rng.random(samples) * 2.0**53).astype(np.uint64) >> (53 - bits)
-    if weights is not None:
-        size = weights.cfg.size
-        # Cell index N is cell 0 past the seam: the table repeats row and column 0.
-        table = np.pad(weights.atom_of_cell.reshape(size, size), (0, 1), mode="wrap").ravel()
+    # Cell index N is cell 0 past the seam: the table repeats row and column 0.
+    table = np.pad(weights.atom_of_cell.reshape(size, size), (0, 1), mode="wrap").ravel()
     one = matrix_power_mod(T, 1, 1 << bits) if T is not None else None
     out = np.empty((length, samples), dtype=np.uint8)
     for k in range(length):
@@ -608,11 +570,8 @@ def _classical_atom_matrix(
             break
         if k:
             a1, a2 = _step(one, a1, a2, 1 << bits)
-        if weights is None:
-            out[k] = partition.atom_index(a1 * 2.0**-53, a2 * 2.0**-53)
-        else:
-            c1, c2 = ((2 * size * a + (1 << bits)) >> (bits + 1) for a in (a1, a2))
-            out[k] = table[(c1 * (size + 1) + c2).view(np.int64)]
+        c1, c2 = ((2 * size * a + (1 << bits)) >> (bits + 1) for a in (a1, a2))
+        out[k] = table[(c1 * (size + 1) + c2).view(np.int64)]
     return out
 
 
@@ -726,70 +685,6 @@ def _word_runs(symbol_steps, alphabet: int):
         yield _Words(n, alphabet, counts, entropy, starts, codes, alphabet ** (length - n))
 
 
-@dataclass(frozen=True)
-class KSEntropyReport:
-    """Classical entropy growth S(n) for n = 0..n_max and derived rates."""
-
-    partition_name: str
-    alphabet: int
-    n_max: int
-    samples: int
-    seed: int
-    entropies: tuple[float, ...]  # S(0) = 0, S(1), ..., S(n_max)
-    increments: tuple[float, ...]  # S(n) - S(n-1) for n = 1..n_max
-    rates: tuple[float, ...]  # S(n)/n for n = 1..n_max
-    support_sizes: tuple[int, ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "partition": self.partition_name,
-            "alphabet": self.alphabet,
-            "n_max": self.n_max,
-            "samples": self.samples,
-            "seed": self.seed,
-            "entropies": list(self.entropies),
-            "increments": list(self.increments),
-            "rates": list(self.rates),
-            "support_sizes": list(self.support_sizes),
-        }
-
-
-def ks_entropy_rate(
-    T: Optional[ToralMatrix],
-    partition: Partition,
-    n_max: int,
-    samples: int,
-    seed,
-) -> KSEntropyReport:
-    """Entropy growth of classical words, all lengths sharing one sample set.
-
-    Sharing samples makes the empirical S(n) exactly monotone in n (the
-    length-(n+1) empirical words refine the length-n ones), so increments
-    are never spuriously negative.
-    """
-    _check_word_space(n_max, len(partition))
-    d = len(partition)
-    atoms = _classical_atom_matrix(T, partition, n_max, samples, seed)
-    entropies = [0.0]
-    supports = []
-    for words in _word_runs(atoms, d):
-        entropies.append(words.entropy)
-        supports.append(words.counts.size)
-    increments = tuple(entropies[n] - entropies[n - 1] for n in range(1, n_max + 1))
-    rates = tuple(entropies[n] / n for n in range(1, n_max + 1))
-    return KSEntropyReport(
-        partition_name=partition.name,
-        alphabet=d,
-        n_max=n_max,
-        samples=samples,
-        seed=int(seed) if isinstance(seed, (int, np.integer)) else -1,
-        entropies=tuple(entropies),
-        increments=increments,
-        rates=rates,
-        support_sizes=tuple(supports),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Lattice (coherent-state) word statistics
 # ---------------------------------------------------------------------------
@@ -835,7 +730,6 @@ def cs_probabilities(
     partition: Partition,
     length: int,
     capacity: int = DEFAULT_CAPACITY,
-    unaligned_cap: int = DEFAULT_UNALIGNED_CAP,
     weights: Optional[CellWeightTable] = None,
 ) -> ProbabilityTable:
     """Lattice word distribution for coherent-state style repeated readout.
@@ -848,8 +742,8 @@ def cs_probabilities(
     Aligned partitions (every boundary on a cell edge) reduce to exact
     orbit-word counting; the table then carries integer counts out of
     size**2.  Unaligned partitions take a dense product-weight recursion
-    over all alphabet**length words, refused beyond `unaligned_cap` —
-    snap the partition to the lattice first for long words.
+    over all alphabet**length words, refused beyond 4096 words — snap the
+    partition to the lattice first for long words.
     """
     _check_word_space(length, len(partition))
     weights = _checked_weights(cfg, partition, capacity, weights)
@@ -867,10 +761,10 @@ def cs_probabilities(
         return ProbabilityTable(length=length, alphabet=d, codes=codes[order],
                                 probs=counts / cfg.points, counts=counts, total=cfg.points)
     space = d**length
-    if space > unaligned_cap:
+    if space > _UNALIGNED_CAP:
         raise AlignmentRequiredError(
             f"word space {d}**{length} = {space} exceeds the unaligned cap "
-            f"{unaligned_cap}; snap the partition to the lattice (snap_partition) "
+            f"{_UNALIGNED_CAP}; snap the partition to the lattice (snap_partition) "
             "or shorten the words"
         )
     size = cfg.size
@@ -1118,7 +1012,7 @@ def compare_entropy_production(
         snapped, shift = snap_partition(partition, size)
         snap_shifts.append(shift)
         weights = cell_weights(snapped, cfg)
-        atoms_mc = _classical_atom_matrix(T, snapped, n_max, samples, children[i], weights)
+        atoms_mc = _classical_atom_matrix(T, weights, n_max, samples, children[i])
         lattice = _word_runs(_orbit_atoms(T, weights, n_max, capacity), d)
         brk: Optional[int] = None
         for n, ks in enumerate(_word_runs(atoms_mc, d), 1):

@@ -12,7 +12,6 @@ minimized over unit shifts in each coordinate.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -24,13 +23,9 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "CapacityExceededError",
     "LatticeConfig",
-    "TorusPoint",
-    "LatticePoint",
     "torus_distance_arrays",
-    "round_to_lattice",
     "round_coordinates",
     "matrix_power_mod",
-    "discrete_step",
     "Permutation",
     "build_permutation",
     "orbit_period",
@@ -66,39 +61,6 @@ class LatticeConfig:
         """Row-major flat index of a lattice point."""
         return p1 * self.size + p2
 
-    def point(self, index: int) -> "LatticePoint":
-        p1, p2 = divmod(index, self.size)
-        return LatticePoint(p1, p2)
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point of the 2-torus; coordinates are reduced mod 1 on construction."""
-
-    x1: float
-    x2: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x1", float(self.x1) % 1.0)
-        object.__setattr__(self, "x2", float(self.x2) % 1.0)
-
-
-@dataclass(frozen=True)
-class LatticePoint:
-    """Integer coordinates of a lattice point, each in [0, N)."""
-
-    p1: int
-    p2: int
-
-    def __post_init__(self) -> None:
-        for name in ("p1", "p2"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise TypeError(f"lattice coordinate {name} must be an integer")
-            if value < 0:
-                raise ValueError(f"lattice coordinate {name} must be >= 0, got {value}")
-            object.__setattr__(self, name, int(value))
-
 
 def torus_distance_arrays(
     ax1: np.ndarray, ax2: np.ndarray, bx1: np.ndarray, bx2: np.ndarray
@@ -115,22 +77,13 @@ def torus_distance_arrays(
     return np.hypot(d1, d2)
 
 
-def round_to_lattice(x: TorusPoint, cfg: LatticeConfig) -> LatticePoint:
-    """Nearest lattice point, p_i = floor(N x_i + 1/2) mod N.
-
-    The floor keeps the convention explicit: a coordinate exactly halfway
-    between two lattice points rounds up (and wraps to 0 past the seam).
-    The rounding error in torus distance is at most 1/(sqrt(2) N).
-    """
-    n = cfg.size
-    return LatticePoint(
-        int(math.floor(n * x.x1 + 0.5)) % n,
-        int(math.floor(n * x.x2 + 0.5)) % n,
-    )
-
-
 def round_coordinates(coords: np.ndarray, size: int) -> np.ndarray:
-    """Vectorized rounding of torus coordinates in [0, 1) to integers mod N."""
+    """Nearest lattice coordinates, p = floor(N x + 1/2) mod N, for x in [0, 1).
+
+    A coordinate exactly halfway between two lattice points rounds up (and
+    wraps to 0 past the seam).  The rounding error of a point in torus
+    distance is at most 1/(sqrt(2) N).
+    """
     return np.floor(coords * size + 0.5).astype(np.int64) % size
 
 
@@ -143,21 +96,6 @@ def matrix_power_mod(T: ToralMatrix, n: int, modulus: int) -> tuple[int, int, in
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
     return _matrix_power(T, n, modulus)
-
-
-def discrete_step(
-    T: ToralMatrix, p: LatticePoint, cfg: LatticeConfig, steps: int = 1
-) -> LatticePoint:
-    """U**steps applied to a lattice point: T**steps p mod N, exactly.
-
-    Negative step counts walk the inverse map.  Commutes with rounding:
-    rounding T**j (p/N) to the lattice gives exactly this result because
-    T**j p is already integral.
-    """
-    n = cfg.size
-    if not (0 <= p.p1 < n and 0 <= p.p2 < n):
-        raise ValueError(f"{p} is outside the {n} x {n} lattice")
-    return LatticePoint(*_step(matrix_power_mod(T, steps, n), p.p1, p.p2, n))
 
 
 def _index_dtype(points: int):

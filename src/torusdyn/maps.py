@@ -36,8 +36,6 @@ __all__ = [
     "ToralMatrix",
     "SpectralData",
     "cat_map",
-    "unit_shear",
-    "quarter_turn",
     "classify",
     "diameter_formula",
     "diameter_bruteforce",
@@ -102,20 +100,6 @@ class ToralMatrix:
     def trace(self) -> int:
         return self.t11 + self.t22
 
-    def inverse(self) -> "ToralMatrix":
-        """Exact inverse: for det 1 the inverse is the integer adjugate."""
-        return ToralMatrix(self.t22, -self.t12, -self.t21, self.t11)
-
-    def negated(self) -> "ToralMatrix":
-        return ToralMatrix(-self.t11, -self.t12, -self.t21, -self.t22)
-
-    def apply(self, x1: float, x2: float) -> tuple[float, float]:
-        """Image of a torus point under one application of the map, mod 1."""
-        return _step(self.entries, x1, x2, 1.0)
-
-    def as_array(self, dtype=np.int64) -> np.ndarray:
-        return np.array([[self.t11, self.t12], [self.t21, self.t22]], dtype=dtype)
-
     def __str__(self) -> str:
         return f"[[{self.t11},{self.t12}],[{self.t21},{self.t22}]]"
 
@@ -125,22 +109,12 @@ def cat_map() -> ToralMatrix:
     return ToralMatrix(2, 1, 1, 1)
 
 
-def unit_shear() -> ToralMatrix:
-    """The parabolic unit shear [[1,1],[0,1]]."""
-    return ToralMatrix(1, 1, 0, 1)
-
-
-def quarter_turn() -> ToralMatrix:
-    """The elliptic quarter rotation [[0,1],[-1,0]] (order four)."""
-    return ToralMatrix(0, 1, -1, 0)
-
-
 def _step(m, x1, x2, modulus=None):
     """(x1, x2) -> m (x1, x2) for a row-major 2x2 matrix m, reduced mod `modulus`.
 
     The one implementation of the linear step: integer lattice points mod
     N, dyadic numerators mod 2**k, and (with no modulus) exact matrix
-    products; the mod-1.0 float step only serves `ToralMatrix.apply`.
+    products.
     Python integers are exact at any size.  Integer arrays must hold values
     in [0, modulus).  Unsigned arrays with a power-of-two modulus within
     their range (and m in [0, modulus)) wrap, exactly mod 2**k, and are
@@ -460,7 +434,7 @@ def breaking_time(data: SpectralData, N: int, gamma: float) -> Optional[int]:
     """
     if N < 2:
         raise ValueError(f"lattice size must be >= 2, got {N}")
-    if gamma <= 1.0:
+    if not gamma > 1.0:  # NaN fails too
         raise ValueError(f"gamma must exceed 1, got {gamma}")
     bound = math.log(N) / gamma
     if data.family is Family.ELLIPTIC:

@@ -142,3 +142,11 @@ def rectangle_overlap_area(a: TorusRectangle, b: TorusRectangle) -> Fraction:
     return pieces_overlap(a.x_pieces(), b.x_pieces()) * pieces_overlap(
         a.y_pieces(), b.y_pieces()
     )
+
+
+def _check_disjoint(rects, kind: str) -> None:
+    """Raise ValueError when two of the rectangles overlap in positive area."""
+    for i in range(len(rects)):
+        for j in range(i + 1, len(rects)):
+            if rectangle_overlap_area(rects[i], rects[j]) != 0:
+                raise ValueError(f"{kind} {i} and {j} overlap")

@@ -12,15 +12,17 @@ of gathering on the permutation, and the cell-weight oracle takes exact
 `Fraction` overlaps instead of integer edge positions; `kernel_defect`
 evaluates the Egorov defect by the kernel route with its own single-step
 orbit walk, and `egorov_defect_exact_mesh` from every mesh point's exact
-integer orbit; the classical samplers are the former float walk mod 1.0 read
-through `Partition.atom_index`, and a Python-integer dyadic orbit read
-through rational atom membership.  The geometry oracle,
+integer orbit; the classical samplers are a float walk mod 1.0 and a 53-bit
+dyadic orbit, both read through `Partition.atom_index`, and a
+Python-integer dyadic orbit read through rational atom membership.
+`entropy_of_fractions` sums -p log p over sorted exact masses, and
+`partition_entropy` applies it to the atom areas.  The geometry oracle,
 `exact_refinement_probabilities`, gives exact length-1 and length-2 word
 masses of the continuous map by Sutherland-Hodgman clipping of pulled-back
 boxes (`clip_polygon_halfplane`, `clip_polygon_to_box`) and the shoelace
 `polygon_area`, all in `Fraction` arithmetic.  `classical_probabilities_mc`
-is the library's own Monte Carlo word table at one length, composed from its
-sampler and histogram.  `diameter_bruteforce_full_grid` takes
+is a Monte Carlo word table at one length, from the 53-bit sampler and the
+library's histogram.  `diameter_bruteforce_full_grid` takes
 `np.hypot` at every point of a freshly built angular grid.
 """
 from __future__ import annotations
@@ -36,7 +38,7 @@ from torusdyn.discretize import (
     _cell_axis_coordinates,
     _indicator_entries,
 )
-from torusdyn.entropy import Partition, ProbabilityTable, _classical_atom_matrix
+from torusdyn.entropy import Partition, ProbabilityTable
 from torusdyn.lattice import LatticeConfig, matrix_power_mod, round_coordinates
 from torusdyn.maps import ToralMatrix, _step, matrix_power_entries
 from torusdyn.rectangles import TorusRectangle, cell_interval_pieces, pieces_overlap
@@ -91,11 +93,36 @@ def classical_atom_matrix_float(
     for k in range(length):
         out[:, k] = partition.atom_index(x1, x2)
         if T is not None and k + 1 < length:
-            x1, x2 = _step(T.entries, x1, x2, 1.0)
+            t11, t12, t21, t22 = T.entries
+            x1, x2 = (t11 * x1 + t12 * x2) % 1.0, (t21 * x1 + t22 * x2) % 1.0
         elif T is None:
             break
     if T is None:
         out[:] = out[:, :1]
+    return out
+
+
+def classical_atom_matrix_53bit(T, partition: Partition, length: int, samples: int, seed):
+    """uint8 matrix (length, samples): atom of T**k(x) for random x, exactly.
+
+    The draws x1 then x2 (multiples of 2**-53) as uint64 numerators a step
+    exactly as T a mod 2**53, and `partition.atom_index` reads the floats
+    a 2**-53, so any partition serves, snapped to a lattice or not.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    rng = np.random.default_rng(seed)
+    a1 = (rng.random(samples) * 2.0**53).astype(np.uint64)
+    a2 = (rng.random(samples) * 2.0**53).astype(np.uint64)
+    one = matrix_power_mod(T, 1, 1 << 53) if T is not None else None
+    out = np.empty((length, samples), dtype=np.uint8)
+    for k in range(length):
+        if k and one is None:
+            out[k:] = out[0]
+            break
+        if k:
+            a1, a2 = _step(one, a1, a2, 1 << 53)
+        out[k] = partition.atom_index(a1 * 2.0**-53, a2 * 2.0**-53)
     return out
 
 
@@ -363,13 +390,34 @@ def egorov_defect_exact_mesh(
 def classical_probabilities_mc(T, partition: Partition, length: int, samples: int, seed):
     """Monte Carlo table of the continuous map's words of one length, from `seed`.
 
-    The library's sampler on the same arguments as `ks_entropy_rate`, its
-    words packed step k at alphabet**k and histogrammed by `from_counts`.
+    The 53-bit sampler's words, packed step k at alphabet**k and
+    histogrammed by `from_counts`.
     """
-    atoms = _classical_atom_matrix(T, partition, length, samples, seed)
+    atoms = classical_atom_matrix_53bit(T, partition, length, samples, seed)
     alphabet = len(partition)
     codes = sum(row.astype(np.int64) * alphabet**k for k, row in enumerate(atoms))
     return ProbabilityTable.from_counts(codes, length, alphabet)
+
+
+def entropy_of_fractions(values) -> float:
+    """Entropy in nats of exact masses: sort, then `math.fsum` of -p log p.
+
+    Two distributions with the same multiset of rational masses give
+    bit-identical results, whatever order or labels they arrived with.
+    """
+    terms = []
+    for f in sorted(Fraction(v) for v in values):
+        if f < 0 or f > 1:
+            raise ValueError(f"probability {f} outside [0, 1]")
+        if f != 0:
+            p = float(f)
+            terms.append(-p * math.log(p))
+    return math.fsum(terms)
+
+
+def partition_entropy(partition: Partition) -> float:
+    """Entropy of the atom areas, by `entropy_of_fractions`."""
+    return entropy_of_fractions(a.area for a in partition.atoms)
 
 
 def diameter_bruteforce_full_grid(T: ToralMatrix, n: int, samples: int) -> float:
@@ -466,7 +514,7 @@ def exact_refinement_probabilities(T, partition: Partition, length: int) -> dict
             for a in range(d)
             if partition.atoms[a].area
         }
-    inv = T.inverse().entries
+    inv = (T.t22, -T.t12, -T.t21, T.t11)  # the integer adjugate, since det T = 1
     out: dict[int, Fraction] = {}
     for j, atom_j in enumerate(partition.atoms):
         # Pull each box of E_j back through the map: the preimage of a box

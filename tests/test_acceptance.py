@@ -29,7 +29,6 @@ from torusdyn.entropy import (
     cs_probabilities,
     fannes_bound,
     partition_bands_x2,
-    partition_entropy,
     partition_halves_x1,
     partition_quadrants,
     shannon_entropy,
@@ -43,19 +42,18 @@ from torusdyn.maps import (
     diameter_bruteforce,
     diameter_formula,
     matrix_power_entries,
-    quarter_turn,
-    unit_shear,
 )
 
 from conftest import (
     classical_probabilities_mc, exact_refinement_probabilities, lattice_word_sampler_mc,
+    partition_entropy,
 )
 
 CAT = cat_map()
 HYP2 = ToralMatrix(3, 2, 1, 1)
-SHEAR = unit_shear()
+SHEAR = ToralMatrix(1, 1, 0, 1)
 SHEAR_T = ToralMatrix(1, 0, 2, 1)
-ROT = quarter_turn()
+ROT = ToralMatrix(0, 1, -1, 0)
 HEX = ToralMatrix(1, 1, -1, 0)
 ALL_SIX = (CAT, HYP2, SHEAR, SHEAR_T, ROT, HEX)
 XI = classify(CAT).xi

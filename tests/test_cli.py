@@ -398,6 +398,57 @@ def test_float_overflow_is_validation_error(argv, capsys):
     assert "Traceback" not in err
 
 
+# --- form factor and float options -----------------------------------------------------
+
+LOCALIZE = ["localize", "--matrix", "2", "1", "1", "1", "--size", "64", "--steps", "2",
+            "--seed", "1", "--trials", "100"]
+ENTROPY = ["entropy", "--matrix", "2", "1", "1", "1", "--sizes", "16", "--n-max", "3",
+           "--samples", "100", "--seed", "1", "--output", "{out}"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (LOCALIZE + ["--gamma", "0"], "ValueError: gamma must exceed 1, got 0.0"),
+    (LOCALIZE + ["--gamma", "-1"], "ValueError: gamma must exceed 1, got -1.0"),
+    (LOCALIZE + ["--gamma", "nan"], "--gamma: expected a finite number, got nan"),
+    (LOCALIZE + ["--d0", "inf"], "--d0: expected a finite number, got inf"),
+    (["classify", "--matrix", "0", "1", "-1", "0", "--size", "64", "--gamma", "nan"],
+     "--gamma: expected a finite number, got nan"),
+    (["classify", "--matrix", "0", "1", "-1", "0", "--size", "64", "--gamma", "0.5"],
+     "ValueError: gamma must exceed 1, got 0.5"),
+    (ENTROPY + ["--abs-gap-threshold", "nan"],
+     "--abs-gap-threshold: expected a finite number, got nan"),
+    (ENTROPY + ["--break-increment-fraction", "inf"],
+     "--break-increment-fraction: expected a finite number, got inf"),
+])
+def test_bad_form_factor_or_float_option_is_validation_error(argv, message, capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    argv = [str(out) if a == "{out}" else a for a in argv]
+    assert run(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines()[-1].endswith(message)
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_non_finite_float_in_config_file_is_validation_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = nan\n")
+    assert run(LOCALIZE + ["--config", str(cfg)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.strip().endswith("config key 'gamma': expected a finite "
+                                                   "number, got 'nan'")
+
+
+def test_overlapping_indicator_rectangles_are_validation_error(capsys, tmp_path):
+    out = tmp_path / "eg.csv"
+    argv = ["egorov", "--matrix", "2", "1", "1", "1", "--sizes", "16", "--steps-max", "1",
+            "--observable", "indicator:0,1/2,0,1;1/4,1/2,0,1", "--output", str(out)]
+    assert run(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err.strip().endswith("--observable: indicator rectangles 0 and 1 overlap")
+    assert not out.exists()
+
+
 # --- memory ---------------------------------------------------------------------------
 
 

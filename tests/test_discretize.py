@@ -14,15 +14,12 @@ from torusdyn.discretize import (
     check_orbit_shadowing,
     discretize_aw,
     egorov_defect,
-    kernel,
     kernel_many,
     localization_threshold,
     shadowing_threshold,
 )
-from torusdyn.lattice import (
-    LatticeConfig, TorusPoint, orbit_period, round_coordinates, torus_distance_arrays,
-)
-from torusdyn.maps import cat_map, classify, matrix_power_entries, quarter_turn, unit_shear
+from torusdyn.lattice import LatticeConfig, orbit_period, round_coordinates, torus_distance_arrays
+from torusdyn.maps import ToralMatrix, cat_map, classify, matrix_power_entries
 from torusdyn.rectangles import (
     TorusRectangle,
     arc_pieces,
@@ -34,8 +31,8 @@ from torusdyn.rectangles import (
 from conftest import clip_polygon_to_box, egorov_defect_exact_mesh, kernel_defect, polygon_area
 
 CAT = cat_map()
-SHEAR = unit_shear()
-ROT = quarter_turn()
+SHEAR = ToralMatrix(1, 1, 0, 1)
+ROT = ToralMatrix(0, 1, -1, 0)
 
 ONE = Observable.from_function(lambda x1, x2: np.ones(np.broadcast(x1, x2).shape), 1.0, "one")
 SIN1 = Observable.from_function(lambda x1, x2: np.sin(2 * np.pi * x1), 1.0, "sin-x1")
@@ -151,6 +148,17 @@ def test_indicator_entries_exact():
     assert np.allclose(Xq.entries, X.entries, atol=1e-12)
 
 
+def test_indicator_rejects_overlapping_rectangles():
+    left = TorusRectangle(Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1))
+    middle = TorusRectangle(Fraction(1, 4), Fraction(1, 2), Fraction(0), Fraction(1))
+    right = TorusRectangle(Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(1))
+    with pytest.raises(ValueError, match="overlap"):
+        Observable.indicator((left, middle))
+    # Rectangles that only share an edge are disjoint: the union is everything.
+    whole = discretize_aw(Observable.indicator((left, right)), LatticeConfig(4))
+    assert np.array_equal(whole.entries, np.ones(16))
+
+
 def test_positivity_and_bound():
     f = Observable.from_function(lambda x1, x2: 0.5 + 0.5 * np.sin(2 * np.pi * (x1 + x2)), 1.0)
     X = discretize_aw(f, LatticeConfig(9), quadrature=4)
@@ -186,7 +194,9 @@ def test_kernel_values_and_normalization():
         assert set(np.unique(K)) <= {0, 1}
         assert K.sum() == 1  # exactly one receiving cell
         j = int(K.argmax())
-        assert kernel(CAT, cfg, n, TorusPoint(0.123, 0.456), TorusPoint(g1.ravel()[j], g2.ravel()[j])) == 1
+        one = kernel_many(CAT, cfg, n, np.array([0.123]), np.array([0.456]),
+                          g1.ravel()[j:j + 1], g2.ravel()[j:j + 1])
+        assert one.tolist() == [1]
 
 
 def test_kernel_composes_along_orbit():
@@ -359,6 +369,12 @@ def test_localization_below_threshold_sees_hits():
     rep = check_dynamical_localization(CAT, LatticeConfig(8), 4, 2.0, 0.1, 20000, seed=7)
     assert not rep.premise_satisfied
     assert rep.violations >= 1
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.0, -1.0, math.nan])
+def test_localization_requires_gamma_above_one(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        check_dynamical_localization(CAT, LatticeConfig(64), 2, gamma, 0.1, 10, seed=1)
 
 
 def test_localization_deterministic_in_seed():

@@ -24,9 +24,7 @@ from torusdyn.entropy import (
     cs_probabilities,
     fannes_bound,
     is_aligned,
-    ks_entropy_rate,
     partition_bands_x2,
-    partition_entropy,
     partition_halves_x1,
     partition_halves_x2,
     partition_quadrants,
@@ -34,7 +32,7 @@ from torusdyn.entropy import (
     snap_partition,
 )
 from torusdyn.lattice import CapacityExceededError, LatticeConfig
-from torusdyn.maps import ToralMatrix, cat_map, classify, quarter_turn, unit_shear
+from torusdyn.maps import ToralMatrix, cat_map, classify
 from torusdyn.rectangles import TorusRectangle
 
 from conftest import (
@@ -45,12 +43,13 @@ from conftest import (
     classical_probabilities_mc,
     exact_refinement_probabilities,
     lattice_word_sampler_mc,
+    partition_entropy,
     probs_on_union_oracle,
 )
 
 CAT = cat_map()
-SHEAR = unit_shear()
-ROT = quarter_turn()
+SHEAR = ToralMatrix(1, 1, 0, 1)
+ROT = ToralMatrix(0, 1, -1, 0)
 XI = classify(CAT).xi
 
 
@@ -87,7 +86,7 @@ def test_partition_presets():
     assert len(partition_halves_x1()) == 2
     assert len(partition_quadrants()) == 4
     assert len(partition_bands_x2(5)) == 5
-    assert partition_quadrants().atom_measures() == (Fraction(1, 4),) * 4
+    assert [a.area for a in partition_quadrants().atoms] == [Fraction(1, 4)] * 4
 
 
 def test_partition_rejects_bad_total_area():
@@ -306,12 +305,12 @@ def test_probability_table_validation():
     assert tbl.codes.tolist() == [0, 1, 3]
     assert Fraction(int(tbl.counts[1]), tbl.total) == Fraction(1, 2)
     assert tbl.probability(2) == 0.0
-    assert tbl.support_size == 3
+    assert tbl.codes.size == 3
 
 
 def test_shannon_entropy_exact_path_matches_float():
-    vals = [Fraction(1, 4)] * 4
-    assert shannon_entropy(vals) == pytest.approx(math.log(4), abs=1e-15)
+    uniform = ProbabilityTable.from_counts(np.arange(4), 1, 4)
+    assert shannon_entropy(uniform) == pytest.approx(math.log(4), abs=1e-15)
     tbl = ProbabilityTable.from_counts(np.array([0, 0, 1, 2]), 1, 3)
     assert shannon_entropy(tbl) == pytest.approx(
         -(0.5 * math.log(0.5) + 2 * 0.25 * math.log(0.25)), abs=1e-13
@@ -442,19 +441,19 @@ def test_cs_probabilities_match_independent_lattice_sampler():
 
 
 def test_ks_entropy_monotone_and_rate():
-    rep = ks_entropy_rate(CAT, partition_quadrants(), 8, 200_000, seed=17)
-    s = rep.entropies
+    cmp = compare_entropy_production(CAT, partition_quadrants(), 8, (256,), 200_000, seed=17)
+    s = cmp.s_ks[0]
     assert all(s[i] <= s[i + 1] + 1e-12 for i in range(len(s) - 1))
     # per-step production settles near the expansion rate
-    assert rep.increments[5] == pytest.approx(XI, rel=0.1)
-    assert rep.as_dict()["n_max"] == 8
+    assert cmp.ks_increments[0, 5] == pytest.approx(XI, rel=0.1)
+    assert cmp.as_dict()["n_max"] == 8
 
 
 def test_ks_entropy_shear_and_rotation_stall():
-    shear = ks_entropy_rate(SHEAR, partition_bands_x2(2), 6, 100_000, seed=17)
-    assert all(abs(v) < 1e-12 for v in shear.increments[1:])
-    rot = ks_entropy_rate(ROT, partition_quadrants(), 6, 100_000, seed=17)
-    assert all(abs(v) < 1e-12 for v in rot.increments[4:])
+    shear = compare_entropy_production(SHEAR, partition_bands_x2(2), 6, (256,), 100_000, seed=17)
+    assert all(abs(v) < 1e-12 for v in shear.ks_increments[0, 1:])
+    rot = compare_entropy_production(ROT, partition_quadrants(), 6, (256,), 100_000, seed=17)
+    assert all(abs(v) < 1e-12 for v in rot.ks_increments[0, 4:])
 
 
 @pytest.mark.parametrize("index, size", [(0, 256), (3, 2048)])
@@ -464,7 +463,7 @@ def test_dyadic_sampler_matches_float_walk_on_the_ladder(index, size):
     child = np.random.SeedSequence(5).spawn(4)[index]
     snapped, _ = snap_partition(partition_quadrants(), size)
     weights = cell_weights(snapped, LatticeConfig(size))
-    got = _classical_atom_matrix(CAT, snapped, 20, 200_000, child, weights)
+    got = _classical_atom_matrix(CAT, weights, 20, 200_000, child)
     want = classical_atom_matrix_float(CAT, snapped, 20, 200_000, child)
     assert got.shape == (20, 200_000)
     assert np.array_equal(got, want.T)
@@ -472,19 +471,14 @@ def test_dyadic_sampler_matches_float_walk_on_the_ladder(index, size):
 
 def test_dyadic_horizon_refuses_long_hyperbolic_words(tmp_path, capsys):
     # Dyadic orbits at b bits stop imitating T near 2 b log 2 / xi steps:
-    # 72.02 for the cat map at 50 bits (N = 4096), 41.68 for [[5,2],[2,1]]
-    # at 53 bits (unsnapped partitions) and 39.32 at 50 bits.
+    # 72.02 for the cat map and 39.32 for [[5,2],[2,1]] at 50 bits (N = 4096).
     snapped, _ = snap_partition(partition_quadrants(), 4096)
     weights = cell_weights(snapped, LatticeConfig(4096))
-    assert _classical_atom_matrix(CAT, snapped, 72, 10, 1, weights).shape == (72, 10)
+    assert _classical_atom_matrix(CAT, weights, 72, 10, 1).shape == (72, 10)
     with pytest.raises(ValueError, match="horizon"):
-        _classical_atom_matrix(CAT, snapped, 73, 10, 1, weights)
+        _classical_atom_matrix(CAT, weights, 73, 10, 1)
     for T in (None, SHEAR, ROT):  # no expansion, no horizon
-        assert _classical_atom_matrix(T, snapped, 500, 10, 1, weights).shape == (500, 10)
-    steep = ToralMatrix(5, 2, 2, 1)
-    assert len(ks_entropy_rate(steep, partition_halves_x1(), 41, 10, seed=1).entropies) == 42
-    with pytest.raises(ValueError, match="horizon"):
-        ks_entropy_rate(steep, partition_halves_x1(), 42, 10, seed=1)
+        assert _classical_atom_matrix(T, weights, 500, 10, 1).shape == (500, 10)
     argv = ["entropy", "--matrix", "5", "2", "2", "1", "--partition", "halves-x1",
             "--sizes", "4096", "--n-max", "40", "--samples", "10", "--seed", "1",
             "--output", str(tmp_path / "e.csv")]
@@ -614,12 +608,12 @@ def test_compare_stops_the_lattice_walk_at_separation(monkeypatch):
         cfg = LatticeConfig(size)
         snapped, _ = snap_partition(part, size)
         tables = [cs_probabilities(CAT, cfg, snapped, n) for n in range(1, 15)]
-        supports = [t.support_size for t in tables]
+        supports = [t.codes.size for t in tables]
         assert supports.index(cfg.points) + 1 == separated_at
         want = [0.0] + [shannon_entropy(t) for t in tables]
         assert capped.s_cs[i].tolist() == want
         weights = cell_weights(snapped, cfg)
-        atoms = _classical_atom_matrix(CAT, snapped, 14, 50_000, children[i], weights)
+        atoms = _classical_atom_matrix(CAT, weights, 14, 50_000, children[i])
         codes = np.zeros(atoms.shape[1], dtype=np.int64)
         for n, symbols in enumerate(atoms, 1):
             codes += symbols.astype(np.int64) * 4 ** (n - 1)

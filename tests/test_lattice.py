@@ -8,25 +8,25 @@ import pytest
 from torusdyn.lattice import (
     CapacityExceededError,
     LatticeConfig,
-    LatticePoint,
     Permutation,
-    TorusPoint,
     build_permutation,
-    discrete_step,
     matrix_power_mod,
     orbit_period,
     round_coordinates,
-    round_to_lattice,
     torus_distance_arrays,
 )
-from torusdyn.maps import ToralMatrix, cat_map, quarter_turn, unit_shear
+from torusdyn.maps import ToralMatrix, cat_map, matrix_power_entries
 
 CAT = cat_map()
-SHEAR = unit_shear()
-ROT = quarter_turn()
+SHEAR = ToralMatrix(1, 1, 0, 1)
+ROT = ToralMatrix(0, 1, -1, 0)
 
 
-# --- config and points -------------------------------------------------------
+def _inverse(T):
+    return ToralMatrix(*matrix_power_entries(T, -1))
+
+
+# --- config and indices ------------------------------------------------------
 
 
 def test_config_validation():
@@ -37,19 +37,13 @@ def test_config_validation():
     cfg = LatticeConfig(7)
     assert cfg.points == 49
     assert cfg.index(2, 3) == 17
-    assert cfg.point(17) == LatticePoint(2, 3)
 
 
 def test_index_point_roundtrip():
     cfg = LatticeConfig(11)
-    for flat in range(cfg.points):
-        p = cfg.point(flat)
-        assert cfg.index(p.p1, p.p2) == flat
-
-
-def test_torus_point_reduction():
-    x = TorusPoint(1.25, -0.25)
-    assert (x.x1, x.x2) == (0.25, 0.75)
+    pairs = [(p1, p2) for p1 in range(11) for p2 in range(11)]
+    assert [cfg.index(*p) for p in pairs] == list(range(cfg.points))
+    assert all(divmod(cfg.index(*p), 11) == p for p in pairs)
 
 
 # --- distances ---------------------------------------------------------------
@@ -82,15 +76,13 @@ def test_torus_distance_arrays_matches_scalar():
 
 
 def test_rounding_examples():
-    cfg = LatticeConfig(10)
-    assert round_to_lattice(TorusPoint(0.3, 0.7), cfg) == LatticePoint(3, 7)
-    assert round_to_lattice(TorusPoint(0.96, 0.96), cfg) == LatticePoint(0, 0)
-    assert round_to_lattice(TorusPoint(0.04999, 0.05001), cfg) == LatticePoint(0, 1)
+    assert round_coordinates(np.array([0.3, 0.7]), 10).tolist() == [3, 7]
+    assert round_coordinates(np.array([0.96, 0.96]), 10).tolist() == [0, 0]
+    assert round_coordinates(np.array([0.04999, 0.05001]), 10).tolist() == [0, 1]
 
 
 def test_rounding_half_goes_up():
-    cfg = LatticeConfig(10)
-    assert round_to_lattice(TorusPoint(0.05, 0.15), cfg) == LatticePoint(1, 2)
+    assert round_coordinates(np.array([0.05, 0.15]), 10).tolist() == [1, 2]
 
 
 def test_rounding_never_farther_than_half_diagonal_of_cell():
@@ -105,19 +97,16 @@ def test_rounding_never_farther_than_half_diagonal_of_cell():
 
 
 def test_round_coordinates_matches_scalar():
-    cfg = LatticeConfig(17)
     xs = np.linspace(0, 1, 97, endpoint=False)
     p = round_coordinates(xs, 17)
     for x, v in zip(xs, p):
-        assert round_to_lattice(TorusPoint(float(x), 0.0), cfg).p1 == v
+        assert math.floor(17 * float(x) + 0.5) % 17 == v
 
 
 # --- exact modular dynamics --------------------------------------------------
 
 
 def test_matrix_power_mod_matches_exact_entries():
-    from torusdyn.maps import matrix_power_entries
-
     for T in (CAT, SHEAR, ROT):
         for n in (0, 1, 2, 5, 9, -1, -4):
             exact = matrix_power_entries(T, n)
@@ -126,9 +115,9 @@ def test_matrix_power_mod_matches_exact_entries():
 
 def test_discrete_step_example():
     cfg = LatticeConfig(5)
-    assert discrete_step(CAT, LatticePoint(1, 1), cfg) == LatticePoint(3, 2)
-    back = discrete_step(CAT, LatticePoint(3, 2), cfg, steps=-1)
-    assert back == LatticePoint(1, 1)
+    assert build_permutation(CAT, cfg).forward[cfg.index(1, 1)] == cfg.index(3, 2)
+    back = build_permutation(_inverse(CAT), cfg).forward[cfg.index(3, 2)]
+    assert back == cfg.index(1, 1)
 
 
 def test_discrete_step_equivariance_exact():
@@ -143,8 +132,6 @@ def test_discrete_step_equivariance_exact():
                 for p2 in range(size):
                     x1 = Fraction(p1, size)
                     x2 = Fraction(p2, size)
-                    from torusdyn.maps import matrix_power_entries
-
                     e = matrix_power_entries(T, j)
                     y1 = (e[0] * x1 + e[1] * x2) % 1
                     y2 = (e[2] * x1 + e[3] * x2) % 1
@@ -171,8 +158,6 @@ def test_permutation_is_bijection_and_preserves_counts():
 
 
 def test_permutation_group_law():
-    from torusdyn.maps import matrix_power_entries
-
     cfg = LatticeConfig(13)
     f = build_permutation(CAT, cfg).forward
     # the table of T**3 is the table of T gathered on itself twice
@@ -183,7 +168,7 @@ def test_permutation_group_law():
 def test_permutation_inverse_and_identity():
     cfg = LatticeConfig(9)
     f = build_permutation(ROT, cfg).forward
-    inv = build_permutation(ROT.inverse(), cfg).forward
+    inv = build_permutation(_inverse(ROT), cfg).forward
     identity = np.arange(cfg.points)
     assert np.array_equal(f[inv], identity)
     assert np.array_equal(inv[f], identity)
@@ -199,8 +184,8 @@ def test_permutation_gather_is_pullback():
     entries = np.arange(cfg.points, dtype=float)
     pulled = entries[perm.forward]
     for flat in range(cfg.points):
-        image = discrete_step(CAT, cfg.point(flat), cfg)
-        assert pulled[flat] == entries[cfg.index(image.p1, image.p2)]
+        p1, p2 = divmod(flat, 6)
+        assert pulled[flat] == entries[cfg.index((2 * p1 + p2) % 6, (p1 + p2) % 6)]
 
 
 def test_orbit_periods():

@@ -16,16 +16,14 @@ from torusdyn.maps import (
     diameter_bruteforce,
     diameter_formula,
     matrix_power_entries,
-    quarter_turn,
     scaling_function,
-    unit_shear,
 )
 
 from conftest import diameter_bruteforce_full_grid
 
 CAT = cat_map()
-SHEAR = unit_shear()
-ROT = quarter_turn()
+SHEAR = ToralMatrix(1, 1, 0, 1)
+ROT = ToralMatrix(0, 1, -1, 0)
 HEX6 = ToralMatrix(1, 1, -1, 0)  # order-6 elliptic, semitrace 1/2
 HEX3 = ToralMatrix(0, 1, -1, -1)  # order-3 elliptic, semitrace -1/2
 HYP2 = ToralMatrix(3, 2, 1, 1)
@@ -58,21 +56,19 @@ def test_rejects_non_integers():
         ToralMatrix(True, 1, 0, 1)
 
 
+def _as_array(T, dtype):
+    return np.array(T.entries, dtype=dtype).reshape(2, 2)
+
+
 def test_inverse_is_adjugate():
     for T in ALL_SIX:
-        inv = T.inverse()
         a, b, c, d = T.entries
-        assert inv.entries == (d, -b, -c, a)
-
-
-def test_apply_wraps_mod_one():
-    x1, x2 = CAT.apply(0.75, 0.5)
-    assert (x1, x2) == ((2 * 0.75 + 0.5) % 1.0, (0.75 + 0.5) % 1.0)
+        assert matrix_power_entries(T, -1) == (d, -b, -c, a)
 
 
 def test_matrix_power_entries_against_numpy():
     for T in ALL_SIX:
-        arr = np.array(T.as_array(), dtype=object)
+        arr = _as_array(T, object)
         acc = np.eye(2, dtype=object)
         for n in range(6):
             assert matrix_power_entries(T, n) == (
@@ -80,7 +76,8 @@ def test_matrix_power_entries_against_numpy():
             )
             acc = acc @ arr
     # negative powers via the exact inverse
-    assert matrix_power_entries(CAT, -2) == matrix_power_entries(CAT.inverse(), 2)
+    inverse = ToralMatrix(*matrix_power_entries(CAT, -1))
+    assert matrix_power_entries(CAT, -2) == matrix_power_entries(inverse, 2)
 
 
 # --- classification ----------------------------------------------------------
@@ -114,7 +111,7 @@ def test_eigenvalue_against_root_oracle():
 def test_largest_singular_value_against_svd_oracle():
     for T in ALL_SIX + [HEX3]:
         data = classify(T)
-        eta_oracle = np.linalg.svd(np.array(T.as_array(), dtype=float), compute_uv=False)[0]
+        eta_oracle = np.linalg.svd(_as_array(T, float), compute_uv=False)[0]
         assert abs(data.eta - eta_oracle) < 1e-9
 
 
@@ -127,7 +124,7 @@ def test_eigenvector_angle_two_routes():
     """
     for T in (CAT, HYP2, ToralMatrix(5, 2, 2, 1), ToralMatrix(-2, -1, -1, -1)):
         data = classify(T)
-        vals, vecs = np.linalg.eig(np.array(T.as_array(), dtype=float))
+        vals, vecs = np.linalg.eig(_as_array(T, float))
         order = np.argsort(-np.abs(vals))
         v_plus = vecs[:, order[0]]
         v_minus = vecs[:, order[1]]
@@ -190,7 +187,7 @@ def test_frozen_cat_values():
 def test_negation_invariance():
     for T in (CAT, SHEAR, ROT):
         a = classify(T)
-        b = classify(T.negated())
+        b = classify(ToralMatrix(*(-v for v in T.entries)))
         assert a.family is b.family
         assert a.eta == pytest.approx(b.eta, abs=1e-12)
         assert a.xi == pytest.approx(b.xi, abs=1e-12)
@@ -317,3 +314,10 @@ def test_breaking_time_strict_boundary():
     size = 1 << 20
     assert math.log(size) / 2.0 == scaling_function(data, 1024)
     assert breaking_time(data, size, 2.0) == 1023
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.0, -1.0, math.nan])
+def test_breaking_time_requires_gamma_above_one(gamma):
+    for T in (CAT, SHEAR, ROT):  # elliptic maps too, though they never break
+        with pytest.raises(ValueError, match="gamma"):
+            breaking_time(classify(T), 64, gamma)

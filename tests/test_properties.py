@@ -1,7 +1,7 @@
-"""Properties of the shared lattice step, matrix powers, orbit periods, the
-permutation table and the orbit walk on it, partition snapping, word
-counter, tables and exact entropy, the dyadic classical sampler and Egorov
-defect.
+"""Properties of the shared lattice step, matrix powers, the kernel, orbit
+periods, the permutation table and the orbit walk on it, partition snapping,
+word counter, tables and exact entropy, the dyadic classical sampler and
+Egorov defect.
 
 Random unimodular matrices with entries in [-5, 5] are checked against
 Python-integer, coordinate-walk, cycle-walk and exact-mesh oracles; the
@@ -20,12 +20,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torusdyn.cli import EXIT_VALIDATION, main, parse_partition
-from torusdyn.discretize import Observable, discretize_aw, egorov_defect, kernel, kernel_many
+from torusdyn.discretize import Observable, discretize_aw, egorov_defect, kernel_many
 from torusdyn.entropy import (
     Partition,
     ProbabilityTable,
     _classical_atom_matrix,
-    _entropy_of_fractions,
     _orbit_atoms,
     _word_runs,
     cell_weights,
@@ -42,7 +41,6 @@ from torusdyn.entropy import (
 from torusdyn.lattice import (
     DEFAULT_CAPACITY,
     LatticeConfig,
-    TorusPoint,
     _index_dtype,
     build_permutation,
     matrix_power_mod,
@@ -53,8 +51,10 @@ from torusdyn.rectangles import TorusRectangle
 
 from conftest import (
     ReplayedDraws,
+    classical_atom_matrix_53bit,
     classical_atoms_python_int,
     egorov_defect_exact_mesh,
+    entropy_of_fractions,
     orbit_atoms_step_walk,
     orbit_period_cycle_walk,
     permutation_table_python_int,
@@ -144,13 +144,9 @@ def test_kernel_many_refuses_int64_overflow():
     xs = np.random.default_rng(1).random((4, 1000))
     with pytest.raises(OverflowError):
         kernel_many(cat_map(), LatticeConfig(4_000_000_001), 45, *xs)
-    # The scalar kernel uses Python integers and stays exact there.
-    cfg = LatticeConfig(4_000_000_001)
-    x = TorusPoint(0.25, 0.5)
-    p = (math.floor(cfg.size * x.x1 + 0.5), math.floor(cfg.size * x.x2 + 0.5))
-    m = matrix_power_entries(cat_map(), 45)
-    q = ((m[0] * p[0] + m[1] * p[1]) % cfg.size, (m[2] * p[0] + m[3] * p[1]) % cfg.size)
-    assert kernel(cat_map(), cfg, 45, x, TorusPoint(q[0] / cfg.size, q[1] / cfg.size)) == 1
+    # One pair is refused too: the guard bounds the step, not the array.
+    with pytest.raises(OverflowError):
+        kernel_many(cat_map(), LatticeConfig(4_000_000_001), 45, *xs[:, :1])
 
 
 def test_kernel_many_exact_at_two_to_the_31():
@@ -173,6 +169,24 @@ def test_kernel_many_exact_at_two_to_the_31():
     got = kernel_many(cat, LatticeConfig(size), 45, x1, x2, y1, y2)
     assert got.tolist() == want
     assert sum(want) >= 500
+
+
+@settings(deadline=None)
+@given(matrices, st.integers(2, 24), st.integers(-5, 40), st.data())
+def test_kernel_many_is_a_sub_permutation(T, size, n, data):
+    # Over the cell centres K is a permutation matrix: U**n of the cells.
+    cfg = LatticeConfig(size)
+    centres = np.arange(size) / size
+    y1, y2 = np.repeat(centres, size), np.tile(centres, size)
+    K = kernel_many(T, cfg, n, np.repeat(y1, cfg.points), np.repeat(y2, cfg.points),
+                    np.tile(y1, cfg.points), np.tile(y2, cfg.points)).reshape(cfg.points, -1)
+    assert (K.sum(axis=0) == 1).all() and (K.sum(axis=1) == 1).all()
+    # Any x, on a cell edge or not, reaches exactly one cell y.
+    coordinate = st.one_of(st.floats(0, 1, exclude_max=True),
+                           st.integers(0, 2 * size - 1).map(lambda k: k / (2 * size)))
+    for a, b in data.draw(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=5)):
+        row = kernel_many(T, cfg, n, np.full(cfg.points, a), np.full(cfg.points, b), y1, y2)
+        assert np.count_nonzero(row) == 1
 
 
 def test_localize_beyond_int64_is_validation_error(capsys):
@@ -396,7 +410,7 @@ def test_exact_path_entropy_equals_sorted_fractions(counts):
     table = ProbabilityTable(length=9, alphabet=2, codes=np.arange(arr.size), probs=arr / total,
                              counts=arr, total=total)
     got = shannon_entropy(table)
-    want = _entropy_of_fractions([Fraction(c, total) for c in counts])
+    want = entropy_of_fractions([Fraction(c, total) for c in counts])
     assert got.hex() == want.hex()
 
 
@@ -449,9 +463,9 @@ def _snapped_weights(preset: int, size: int):
 )
 def test_dyadic_sampler_equals_python_int_orbit(T, size, preset, length, data):
     # size None: a preset as given (bands-x2:3 and :5 have non-dyadic edges),
-    # read by `atom_index` at 53 bits; otherwise a preset snapped to N x N or
-    # the seam split, read by cell (N = 3000 and 4096 cut the draws to 51
-    # and 50 bits).
+    # through the 53-bit oracle sampler read by `atom_index`; otherwise the
+    # library sampler on a preset snapped to N x N or the seam split, read by
+    # cell (N = 3000 and 4096 cut the draws to 51 and 50 bits).
     if size is None:
         partition, weights, bits = PRESETS[preset % len(PRESETS)], None, 53
     else:
@@ -475,7 +489,11 @@ def test_dyadic_sampler_equals_python_int_orbit(T, size, preset, length, data):
     points += [(top, low_top, top, low_top), (top, low_top, 0, 0), (0, 0, top, low_top)]
     x1 = np.array([((a << (53 - bits)) | r) / 2**53 for a, r, _, _ in points])
     x2 = np.array([((b << (53 - bits)) | r) / 2**53 for _, _, b, r in points])
-    got = _classical_atom_matrix(T, partition, length, x1.size, ReplayedDraws(x1, x2), weights)
+    draws = ReplayedDraws(x1, x2)
+    if weights is None:
+        got = classical_atom_matrix_53bit(T, partition, length, x1.size, draws)
+    else:
+        got = _classical_atom_matrix(T, weights, length, x1.size, draws)
     assert got.dtype == np.uint8 and got.shape == (length, x1.size)
     assert got.tolist() == classical_atoms_python_int(T, partition, x1, x2, length, bits)
 
