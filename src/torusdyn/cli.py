@@ -16,12 +16,14 @@ Sweeps parallelize over lattice sizes when TORUSDYN_THREADS is set above 1;
 outputs are assembled in sorted order after the join and are byte-identical
 at any thread count.
 
-Exit codes: 0 success, 2 validation error (including a request whose result
+Exit codes: 0 success, 2 validation error (including an output path that
+cannot be written, which leaves no output file, and a request whose result
 overflows a float or an int64 lattice step), 3 capacity or memory exceeded.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -53,6 +55,7 @@ from .entropy import (
 from .lattice import DEFAULT_CAPACITY, CapacityExceededError, LatticeConfig
 from .maps import (
     ToralMatrix,
+    _check_form_factor,
     breaking_time,
     classify,
     diameter_bruteforce,
@@ -198,6 +201,7 @@ class Opt:
         flag_type: Optional[Callable] = None,
         is_flag: bool = False,
         choices: Optional[tuple[str, ...]] = None,
+        check: Optional[Callable] = None,
     ) -> None:
         self.name = name
         self.dest = name.replace("-", "_")
@@ -209,6 +213,7 @@ class Opt:
         self.flag_type = flag_type
         self.is_flag = is_flag
         self.choices = choices
+        self.check = check
 
     def add_to(self, parser: argparse.ArgumentParser) -> None:
         kwargs: dict = {"dest": self.dest, "default": None, "help": self.help}
@@ -315,18 +320,11 @@ def _config_echo(ns: argparse.Namespace, opts: list[Opt]) -> dict:
     return echo
 
 
-def _emit_json(document: dict, path: Optional[str]) -> None:
-    text = json.dumps(document, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json_text(document: dict) -> str:
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_csv(
-    path: Optional[str], command: str, config: dict, columns: list[str], rows: list[tuple]
-) -> None:
+def _csv_text(command: str, config: dict, columns: list[str], rows: list[tuple]) -> str:
     lines = [f"# schema={SCHEMA_CSV}", f"# command={command}"]
     for key in sorted(config):
         value = config[key]
@@ -336,12 +334,29 @@ def _emit_csv(
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_cell(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    return "\n".join(lines) + "\n"
+
+
+def _write_outputs(files: list[tuple[Optional[str], str]]) -> None:
+    """Write each (path, text) in turn, to stdout where the path is None or empty.
+
+    When a file cannot be written, the files this call opened are removed
+    before the OSError propagates, so a failed run leaves no output behind.
+    """
+    opened: list[str] = []
+    try:
+        for path, text in files:
+            if not path:
+                sys.stdout.write(text)
+                continue
+            with open(path, "w", encoding="utf-8") as fh:
+                opened.append(path)
+                fh.write(text)
+    except OSError:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _cell(value) -> str:
@@ -361,7 +376,7 @@ _CLASSIFY_OPTS = [
         help="four integers t11 t12 t21 t22, row-major"),
     Opt("size", int, flag_type=int,
         help="lattice size; with gamma, also reports the breaking-time estimate"),
-    Opt("gamma", parse_finite_float, default=2.0, flag_type=float,
+    Opt("gamma", parse_finite_float, default=2.0, flag_type=float, check=_check_form_factor,
         help="form factor for the breaking-time estimate (default 2.0)"),
     Opt("steps", int, default=0, flag_type=int,
         help="also report growth scale and diameter at this step count"),
@@ -412,18 +427,17 @@ def cmd_classify(ns: argparse.Namespace, opts: list[Opt]) -> int:
         lines.append(
             f"breaking_time(size={ns.size}, gamma={ns.gamma})  {record['breaking_time']}"
         )
-    print("\n".join(lines))
-    document = {
+    text = "\n".join(lines) + "\n"
+    document = _json_text({
         "schema": SCHEMA_JSON,
         "command": "classify",
         "config": _config_echo(ns, opts),
         "results": record,
-    }
+    })
     if ns.output:
-        _emit_json(document, ns.output)
+        _write_outputs([(ns.output, document), (None, text)])
     else:
-        print()
-        _emit_json(document, None)
+        _write_outputs([(None, text + "\n" + document)])
     return EXIT_OK
 
 
@@ -452,10 +466,9 @@ def cmd_diameters(ns: argparse.Namespace, opts: list[Opt]) -> int:
         formula = diameter_formula(data, n)
         brute = diameter_bruteforce(T, n, ns.samples)
         rows.append((n, formula, brute, abs(formula - brute) / formula))
-    _emit_csv(
-        ns.output, "diameters", _config_echo(ns, opts),
-        ["n", "formula", "bruteforce", "rel_err"], rows,
-    )
+    config = _config_echo(ns, opts)
+    columns = ["n", "formula", "bruteforce", "rel_err"]
+    _write_outputs([(ns.output, _csv_text("diameters", config, columns, rows))])
     return EXIT_OK
 
 
@@ -470,7 +483,7 @@ _LOCALIZE_OPTS = [
     Opt("steps", int, required=True, flag_type=int, help="step count n"),
     Opt("check", str, default="localization", choices=("localization", "shadowing"),
         help="which guarantee to test (default localization)"),
-    Opt("gamma", parse_finite_float, default=2.0, flag_type=float,
+    Opt("gamma", parse_finite_float, default=2.0, flag_type=float, check=_check_form_factor,
         help="form factor recorded alongside the localization check (default 2.0)"),
     Opt("d0", parse_finite_float, default=0.1, flag_type=float,
         help="separation distance for the localization check (default 0.1)"),
@@ -496,7 +509,7 @@ def cmd_localize(ns: argparse.Namespace, opts: list[Opt]) -> int:
         "config": _config_echo(ns, opts),
         "results": report.as_dict(),
     }
-    _emit_json(document, ns.output)
+    _write_outputs([(ns.output, _json_text(document))])
     return EXIT_OK
 
 
@@ -540,7 +553,8 @@ def cmd_egorov(ns: argparse.Namespace, opts: list[Opt]) -> int:
 
     per_size = _run_sweep(sorted(set(ns.sizes)), sweep)
     rows = [row for chunk in per_size for row in chunk]
-    _emit_csv(ns.output, "egorov", _config_echo(ns, opts), ["j", "N", "defect"], rows)
+    config = _config_echo(ns, opts)
+    _write_outputs([(ns.output, _csv_text("egorov", config, ["j", "N", "defect"], rows))])
     return EXIT_OK
 
 
@@ -609,17 +623,14 @@ def cmd_entropy(ns: argparse.Namespace, opts: list[Opt]) -> int:
                 s_ks = result.s_ks[i, n]
                 rows.append((n, size, s_cs, s_ks, s_ks - s_cs, s_cs / n))
         rows.sort(key=lambda r: (r[1], r[0]))
-        _emit_csv(
-            ns.output, "entropy", config,
-            ["n", "N", "S_cs", "S_ks", "gap", "rate"], rows,
-        )
+        csv = _csv_text("entropy", config, ["n", "N", "S_cs", "S_ks", "gap", "rate"], rows)
         document = {
             "schema": SCHEMA_JSON,
             "command": "entropy",
             "config": config,
             "results": result.as_dict(),
         }
-        _emit_json(document, manifest_path)
+        _write_outputs([(ns.output, csv), (manifest_path, _json_text(document))])
         return EXIT_OK
     # mode=components: deterministic lattice-side decomposition per (N, n)
     def sweep(size: int) -> list[tuple]:
@@ -634,8 +645,8 @@ def cmd_entropy(ns: argparse.Namespace, opts: list[Opt]) -> int:
 
     per_size = _run_sweep(sorted(set(ns.sizes)), sweep)
     rows = [row for chunk in per_size for row in chunk]
-    _emit_csv(
-        ns.output, "entropy", config,
+    csv = _csv_text(
+        "entropy", config,
         ["n", "N", "total", "measurement", "dynamical", "per_step_dynamical", "snap_shift"],
         rows,
     )
@@ -645,7 +656,7 @@ def cmd_entropy(ns: argparse.Namespace, opts: list[Opt]) -> int:
         "config": config,
         "results": {"mode": "components", "rows": [list(r) for r in rows]},
     }
-    _emit_json(document, manifest_path)
+    _write_outputs([(ns.output, csv), (manifest_path, _json_text(document))])
     return EXIT_OK
 
 
@@ -706,6 +717,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     sub: argparse.ArgumentParser = ns._sub
     _resolve_options(sub, ns, ns._opts)
     try:
+        for opt in ns._opts:
+            if opt.check is not None:  # whether or not the run uses the value
+                opt.check(getattr(ns, opt.dest))
         return ns._func(ns, ns._opts)
     except CapacityExceededError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
@@ -713,7 +727,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemoryError as exc:  # numpy raises a private subclass; name the public one
         print(f"MemoryError: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -34,6 +34,7 @@ from .maps import (
     ToralMatrix,
     classify,
     scaling_function,
+    _check_form_factor,
     _step,
 )
 from .rectangles import TorusRectangle, _cell_overlaps, _check_disjoint
@@ -382,8 +383,7 @@ def check_dynamical_localization(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if not gamma > 1.0:  # NaN fails too
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    _check_form_factor(gamma)
     data = classify(T)
     rng = np.random.default_rng(seed)
     xs = rng.random((trials, 2))

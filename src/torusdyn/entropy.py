@@ -18,7 +18,10 @@ Two word packings, over an alphabet of D atoms:
   symbol at D**(L-1-k), oldest symbol most significant, so one sort of the
   whole words orders every length at once; the length-n word is the code's
   n-digit prefix, code // D**(L-n).  The tables it hands out (the Fannes
-  audit's) keep this packing, sum_k symbol_k * D**(n-1-k).
+  audit's) keep this packing, sum_k symbol_k * D**(n-1-k).  The lattice
+  walk (`_orbit_atoms`) hands it c steps at a time in one byte, c the
+  largest with D**c <= 256, in the same order: a chunk's digits are the
+  next c digits of the whole-walk code.
 
 Either way lattice and classical tables of the same length built the same
 way are directly comparable code by code.
@@ -35,6 +38,7 @@ import numpy as np
 
 from .lattice import (
     DEFAULT_CAPACITY, CapacityExceededError, LatticeConfig, build_permutation, matrix_power_mod,
+    _permutation,
 )
 from .maps import Family, ToralMatrix, classify, _step
 from .rectangles import TorusRectangle, _cell_overlaps, _check_disjoint
@@ -623,14 +627,15 @@ class _Words:
     """The words of one length among a sorted array of whole-walk codes.
 
     The length-n words are the codes' n-digit prefixes; equal words are one
-    run of the sorted array, starting at `starts`, `counts` long.
+    run of the sorted array.  The runs start at `bounds[:-1]`, and
+    `bounds[-1]` is the total.  Their counts are worked out on demand, so
+    that a length's words hold one array of the walks' size, not two.
     """
 
     length: int
     alphabet: int
-    counts: np.ndarray
+    bounds: np.ndarray
     entropy: float
-    starts: np.ndarray
     sorted_codes: np.ndarray
     scale: int  # alphabet ** (walk length - length)
 
@@ -639,40 +644,51 @@ class _Words:
         return self.sorted_codes.size
 
     @property
+    def support(self) -> int:
+        return self.bounds.size - 1
+
+    @property
+    def counts(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    @property
     def codes(self) -> np.ndarray:
         """The distinct words, oldest symbol most significant, increasing."""
-        return self.sorted_codes[self.starts] // self.scale
+        return self.sorted_codes[self.bounds[:-1]] // self.scale
 
     def table(self) -> ProbabilityTable:
+        counts = self.counts
         return ProbabilityTable(
             length=self.length,
             alphabet=self.alphabet,
             codes=self.codes,
-            probs=self.counts / self.total,
-            counts=self.counts,
+            probs=counts / self.total,
+            counts=counts,
             total=self.total,
         )
 
 
-def _word_runs(symbol_steps, alphabet: int):
+def _word_runs(chunks, alphabet: int):
     """The word counter: the words of every length of a set of walks, from one sort.
 
-    Takes one array of symbols per step (step k's symbol of every walk),
-    packs each walk's L symbols into one int64 code with step k's symbol at
-    significance alphabet**(L-1-k), sorts the codes once and yields the
+    Takes the walks in chunks of consecutive steps, one (digits, width)
+    pair per chunk: `digits` holds every walk's `width` symbols of the
+    chunk as one base-`alphabet` number, oldest symbol most significant.
+    It packs each walk's L symbols into one int64 code with step k's symbol
+    at significance alphabet**(L-1-k), sorts the codes once and yields the
     `_Words` of lengths 1..L in turn.  A length-n run starts wherever
     neighbours share fewer than n leading digits.  Past the longest shared
     prefix every walk has a word of its own, and no length is counted.
     """
     codes = None
     length = 0
-    for symbols in symbol_steps:
+    for digits, width in chunks:
         if codes is None:
-            codes = symbols.astype(np.int64)
+            codes = digits.astype(np.int64)
         else:
-            codes *= alphabet
-            codes += symbols
-        length += 1
+            codes *= alphabet**width
+            codes += digits
+        length += width
     codes.sort()
     shared = _common_prefixes(codes, alphabet, length)
     total = codes.size
@@ -680,9 +696,8 @@ def _word_runs(symbol_steps, alphabet: int):
     for n in range(1, length + 1):
         if n <= max(alone, 1):
             bounds = np.flatnonzero(shared < n)
-            starts, counts = bounds[:-1], np.diff(bounds)
-            entropy = _entropy_of_counts(counts, total)
-        yield _Words(n, alphabet, counts, entropy, starts, codes, alphabet ** (length - n))
+            entropy = _entropy_of_counts(np.diff(bounds), total)
+        yield _Words(n, alphabet, bounds, entropy, codes, alphabet ** (length - n))
 
 
 # ---------------------------------------------------------------------------
@@ -691,19 +706,37 @@ def _word_runs(symbol_steps, alphabet: int):
 
 
 def _orbit_atoms(T: Optional[ToralMatrix], weights: CellWeightTable, length: int, capacity: int):
-    """Atom of every lattice point's orbit cell at steps 0..length-1 (aligned).
+    """Atoms of every lattice point's orbit cells at steps 0..length-1 (aligned).
 
-    The step-k atom of p is the step-(k-1) atom of U p, so each step is one
-    gather of the previous symbols on the permutation table of U.
+    Yields the walk in chunks of c steps, c the largest width with D**c <=
+    256 (D atoms), as (digits, width) pairs for `_word_runs`: `digits` is a
+    uint8 array holding, for every point, the atoms of its chunk's cells
+    as one base-D number, oldest step most significant.  The step-k atom of
+    p is the step-(k-1) atom of U p, so the first chunk takes c-1 gathers
+    of the atoms on the permutation table of U, one digit each; each later
+    chunk is the previous one gathered on the table of U**c, and a last
+    chunk of r < c steps keeps the leading r digits of a full one.
     """
-    symbols = weights.atom_of_cell
+    d = weights.atom_count
+    width = min(length, next(c for c in range(8, 0, -1) if d**c <= 256))
+    cfg = weights.cfg
     forward = None
-    if T is not None and length > 1:
-        forward = build_permutation(T, weights.cfg, capacity).forward
-    for k in range(length):
-        yield symbols
-        if forward is not None and k + 1 < length:
-            symbols = symbols[forward]
+    if T is not None and width > 1:
+        forward = build_permutation(T, cfg, capacity).forward
+    symbols = weights.atom_of_cell
+    digits = symbols.copy()
+    for _ in range(1, width):
+        symbols = symbols[forward] if forward is not None else symbols
+        digits *= d
+        digits += symbols
+    forward = symbols = None  # freed first: the two tables are never held at once
+    if T is not None and length > width:
+        forward = _permutation(matrix_power_mod(T, width, cfg.size), cfg, capacity).forward
+    for start in range(0, length, width):
+        if start:
+            digits = digits[forward] if forward is not None else digits
+        steps = min(width, length - start)
+        yield (digits if steps == width else digits // d ** (width - steps)), steps
 
 
 def _checked_weights(
@@ -821,7 +854,7 @@ def cs_entropies(
     entropies = []
     for words in _word_runs(_orbit_atoms(T, weights, n_max, capacity), d):
         entropies.append(words.entropy)
-        if words.counts.size == cfg.points:
+        if words.support == cfg.points:
             break
     return entropies + entropies[-1:] * (n_max - len(entropies))
 
@@ -1015,16 +1048,16 @@ def compare_entropy_production(
         atoms_mc = _classical_atom_matrix(T, weights, n_max, samples, children[i])
         lattice = _word_runs(_orbit_atoms(T, weights, n_max, capacity), d)
         brk: Optional[int] = None
-        for n, ks in enumerate(_word_runs(atoms_mc, d), 1):
+        for n, ks in enumerate(_word_runs(((symbols, 1) for symbols in atoms_mc), d), 1):
             k = n - 1
             if lattice is not None:
                 cs = next(lattice)
                 s_cs[i, n:] = cs.entropy  # holds until a longer length
-                if cs.counts.size == cfg.points >= diff_support_cap:
+                if cs.support == cfg.points >= diff_support_cap:
                     lattice.close()
                     lattice = None
             s_ks[i, n] = ks.entropy
-            if cs.counts.size + ks.counts.size <= diff_support_cap:
+            if cs.support + ks.support <= diff_support_cap:
                 pa, pb = _probs_on_union(cs.table(), ks.table())
                 diff = np.abs(pa - pb)
                 eps_hat[i, k] = float(diff.max()) if diff.size else 0.0

@@ -123,8 +123,11 @@ class Permutation:
             )
         if not np.issubdtype(arr.dtype, np.integer):
             raise TypeError("permutation table must hold integers")
-        counts = np.bincount(arr, minlength=self.cfg.points)
-        if counts.size != self.cfg.points or counts.max() != 1:
+        # N^2 entries in [0, N^2) that hit every index are a bijection.
+        seen = np.zeros(self.cfg.points, dtype=bool)
+        if arr.min() >= 0 and arr.max() < self.cfg.points:
+            seen[arr] = True
+        if not seen.all():
             raise ValueError("permutation table is not a bijection of the lattice")
         arr = np.ascontiguousarray(arr)
         arr.flags.writeable = False
@@ -136,10 +139,21 @@ def build_permutation(
 ) -> Permutation:
     """Permutation table of the one-step lattice map U(p) = T p mod N.
 
-    Exact and free of integer division: U(p1, p2) = U(p1, 0) + U(0, p2) mod
-    N, so only the two axes are stepped; their image coordinates, each in
-    [0, N), are summed over the N x N grid, less N where a sum reaches N.
     Raises CapacityExceededError when N^2 exceeds `capacity`.
+    """
+    return _permutation(matrix_power_mod(T, 1, cfg.size), cfg, capacity)
+
+
+def _permutation(
+    entries: tuple[int, int, int, int], cfg: LatticeConfig, capacity: int
+) -> Permutation:
+    """Permutation table of p -> M p mod N, for the entries of M mod N.
+
+    M is a power of a unimodular T, possibly +-I, which ToralMatrix
+    rejects.  Exact and free of integer division: M(p1, p2) = M(p1, 0) +
+    M(0, p2) mod N, so only the two axes are stepped; their image
+    coordinates, each in [0, N), are summed over the N x N grid, less N
+    where a sum reaches N.
     """
     points = cfg.points
     if points > capacity:
@@ -148,10 +162,9 @@ def build_permutation(
         )
     n = cfg.size
     dtype = _index_dtype(points)
-    one = matrix_power_mod(T, 1, n)
     axis = np.arange(n, dtype=np.int64)
-    row_terms = [t.astype(dtype) for t in _step(one, axis, 0, n)]
-    col_terms = [t.astype(dtype) for t in _step(one, 0, axis, n)]
+    row_terms = [t.astype(dtype) for t in _step(entries, axis, 0, n)]
+    col_terms = [t.astype(dtype) for t in _step(entries, 0, axis, n)]
     q1, q2 = (np.add.outer(r, c) for r, c in zip(row_terms, col_terms))
     for q in (q1, q2):
         np.subtract(q, n, out=q, where=q >= n)

@@ -423,6 +423,12 @@ def scaling_function(data: SpectralData, n: int) -> float:
     return 0.0
 
 
+def _check_form_factor(gamma: float) -> None:
+    """Refuse a form factor gamma that is not above 1 (NaN included)."""
+    if not gamma > 1.0:
+        raise ValueError(f"gamma must exceed 1, got {gamma}")
+
+
 def breaking_time(data: SpectralData, N: int, gamma: float) -> Optional[int]:
     """Largest n >= 1 with Gamma(n) < log(N)/gamma; None when unbounded.
 
@@ -434,8 +440,7 @@ def breaking_time(data: SpectralData, N: int, gamma: float) -> Optional[int]:
     """
     if N < 2:
         raise ValueError(f"lattice size must be >= 2, got {N}")
-    if not gamma > 1.0:  # NaN fails too
-        raise ValueError(f"gamma must exceed 1, got {gamma}")
+    _check_form_factor(gamma)
     bound = math.log(N) / gamma
     if data.family is Family.ELLIPTIC:
         return None

@@ -419,6 +419,11 @@ ENTROPY = ["entropy", "--matrix", "2", "1", "1", "1", "--sizes", "16", "--n-max"
      "--abs-gap-threshold: expected a finite number, got nan"),
     (ENTROPY + ["--break-increment-fraction", "inf"],
      "--break-increment-fraction: expected a finite number, got inf"),
+    # A gamma the run does not use is refused too, not echoed into the config.
+    (LOCALIZE + ["--check", "shadowing", "--gamma", "0.5"],
+     "ValueError: gamma must exceed 1, got 0.5"),
+    (["classify", "--matrix", "2", "1", "1", "1", "--gamma", "0"],
+     "ValueError: gamma must exceed 1, got 0.0"),
 ])
 def test_bad_form_factor_or_float_option_is_validation_error(argv, message, capsys, tmp_path):
     out = tmp_path / "x.csv"
@@ -437,6 +442,15 @@ def test_non_finite_float_in_config_file_is_validation_error(capsys, tmp_path):
     assert run(LOCALIZE + ["--config", str(cfg)]) == EXIT_VALIDATION
     assert capsys.readouterr().err.strip().endswith("config key 'gamma': expected a finite "
                                                    "number, got 'nan'")
+
+
+def test_form_factor_in_config_file_is_checked_unused(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma = 1\n")
+    assert run(["classify", "--matrix", "2", "1", "1", "1", "--config", str(cfg)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "ValueError: gamma must exceed 1, got 1.0"
 
 
 def test_overlapping_indicator_rectangles_are_validation_error(capsys, tmp_path):
@@ -470,3 +484,51 @@ def test_unallocatable_request_is_capacity_error(argv, capsys, tmp_path):
     err = captured.err.strip()
     assert err.startswith("MemoryError: ")
     assert len(err.splitlines()) == 1
+
+
+# --- unwritable output paths ------------------------------------------------------------
+
+CLASSIFY_OUT = ["classify", "--matrix", "2", "1", "1", "1", "--output", "{out}"]
+DIAMETERS_OUT = ["diameters", "--matrix", "1", "1", "0", "1", "--steps-max", "2",
+                 "--samples", "64", "--output", "{out}"]
+LOCALIZE_OUT = LOCALIZE + ["--output", "{out}"]
+EGOROV_OUT = ["egorov", "--matrix", "2", "1", "1", "1", "--sizes", "16", "--steps-max", "1",
+              "--output", "{out}"]
+ENTROPY_OUT = ["entropy", "--matrix", "2", "1", "1", "1", "--sizes", "16", "--n-max", "3",
+               "--samples", "100", "--seed", "1", "--output", "{out}"]
+COMPONENTS_OUT = ["entropy", "--mode", "components", "--identity-dynamics", "--sizes", "16",
+                  "--n-max", "3", "--output", "{out}"]
+
+
+@pytest.mark.parametrize("argv", [CLASSIFY_OUT, DIAMETERS_OUT, LOCALIZE_OUT, EGOROV_OUT,
+                                  ENTROPY_OUT, COMPONENTS_OUT])
+@pytest.mark.parametrize("where, error", [
+    ("missing/x.out", "FileNotFoundError"),
+    (".", "IsADirectoryError"),
+])
+def test_unwritable_output_is_validation_error(argv, where, error, capsys, tmp_path):
+    out = tmp_path / where
+    argv = [str(out) if a == "{out}" else a for a in argv]
+    assert run(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith(f"{error}: ") and str(out) in err
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [ENTROPY_OUT, COMPONENTS_OUT])
+@pytest.mark.parametrize("where, error", [
+    ("missing/m.json", "FileNotFoundError"),
+    (".", "IsADirectoryError"),
+])
+def test_unwritable_manifest_leaves_no_csv(argv, where, error, capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    manifest = tmp_path / where
+    argv = [str(out) if a == "{out}" else a for a in argv] + ["--manifest", str(manifest)]
+    assert run(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"{error}: ") and str(manifest) in err
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == []

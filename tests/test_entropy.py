@@ -251,7 +251,7 @@ def test_word_codes_roundtrip():
     # their counts; the base-alphabet digits of each code give the word back.
     words = np.array([(0, 0, 0, 0), (3, 1, 2, 0), (1, 0, 0, 2), (3, 3, 3, 3), (3, 1, 2, 1)],
                      dtype=np.uint8)
-    steps = [words[:, k].copy() for k in range(4)]
+    steps = [(words[:, k].copy(), 1) for k in range(4)]
     runs = list(_word_runs(steps, 4))
     assert [r.length for r in runs] == [1, 2, 3, 4]
     for n, r in enumerate(runs, 1):
@@ -265,8 +265,13 @@ def test_word_codes_roundtrip():
     # step order = significance order, oldest symbol most significant
     assert runs[2].codes.tolist()[2] == 3 * 16 + 1 * 4 + 2
     assert runs[2].counts.tolist()[2] == 2
+    # chunks of several steps, their digits oldest first, pack to the same codes
+    chunked = [(words[:, 0] * 16 + words[:, 1] * 4 + words[:, 2], 3), (words[:, 3].copy(), 1)]
+    assert [(r.codes.tolist(), r.counts.tolist(), r.entropy)
+            for r in _word_runs(chunked, 4)] == [
+        (r.codes.tolist(), r.counts.tolist(), r.entropy) for r in runs]
     # a single walk has a word of its own at every length
-    single = _word_runs([np.array([2], dtype=np.uint8)] * 3, 4)
+    single = _word_runs([(np.array([2], dtype=np.uint8), 1)] * 3, 4)
     assert [(r.codes.tolist(), r.counts.tolist(), r.entropy) for r in single] == [
         ([2], [1], 0.0), ([10], [1], 0.0), ([42], [1], 0.0)]
 

@@ -210,5 +210,13 @@ def test_capacity_guard():
 
 def test_permutation_rejects_non_bijection():
     cfg = LatticeConfig(2)
-    with pytest.raises(ValueError):
-        Permutation(cfg, np.array([0, 0, 1, 2], dtype=np.int64))
+    for dtype in (np.int64, np.int32):
+        for table in (
+            [0, 0, 1, 2],  # a repeat, so one index is missed
+            [-1, 0, 1, 2],  # an entry below the lattice
+            [0, 1, 2, 4],  # an entry at N^2, past it
+            [3, 1, 2, -1],  # -1 would name the missing index 3 as a position
+        ):
+            with pytest.raises(ValueError, match="not a bijection"):
+                Permutation(cfg, np.array(table, dtype=dtype))
+        assert Permutation(cfg, np.array([3, 1, 2, 0], dtype=dtype)).forward.dtype == dtype

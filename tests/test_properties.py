@@ -268,11 +268,29 @@ SEAM_WRAPPING = parse_partition(
 )
 
 
+def chunk_steps(chunks, alphabet: int) -> list[np.ndarray]:
+    """Per-step symbols of `_orbit_atoms`' chunks: each chunk's base-alphabet
+    digits, most significant first."""
+    steps = []
+    for digits, width in chunks:
+        assert digits.dtype == np.uint8
+        steps += [digits // alphabet ** (width - 1 - k) % alphabet for k in range(width)]
+    return steps
+
+
+# In the examples below T**c, c the chunk width, is the lattice identity for
+# (1, 0, 2, 1) at N = 2 (T = I mod 2), and plus or minus the identity for the
+# elliptic maps: c = 4 for quadrants and 8 for halves (ROT, order 4); c = 3
+# for five bands ((1, 1, -1, 0), order 6: -I; (0, -1, 1, -1), order 3: I).
+ROT = ToralMatrix(0, -1, 1, 0)
+
+
 @settings(deadline=None)
 @given(
     st.one_of(st.none(), matrices),
     st.integers(2, 64),
     st.sampled_from([
+        partition_bands_x2(1),
         partition_quadrants(),
         partition_halves_x1(),
         partition_halves_x2(),
@@ -280,15 +298,29 @@ SEAM_WRAPPING = parse_partition(
         partition_bands_x2(5),
         SEAM_WRAPPING,
     ]),
-    st.integers(1, 8),
+    st.integers(1, 20),
 )
+@example(ROT, 12, partition_quadrants(), 13)
+@example(ROT, 7, partition_halves_x2(), 20)
+@example(ToralMatrix(1, 1, -1, 0), 15, partition_bands_x2(5), 11)
+@example(ToralMatrix(0, -1, 1, -1), 15, partition_bands_x2(5), 9)
+@example(ToralMatrix(1, 0, 2, 1), 2, partition_halves_x1(), 17)
+@example(None, 20, partition_bands_x2(5), 7)
+@example(cat_map(), 34, partition_bands_x2(17), 5)  # c = 1: one step per chunk
+@example(None, 34, partition_bands_x2(17), 3)
 def test_orbit_atoms_gather_equals_step_walk(T, size, partition, length):
     try:
         snapped, _ = snap_partition(partition, size)
     except ValueError:  # too coarse a lattice to resolve the partition
         assume(False)
     weights = cell_weights(snapped, LatticeConfig(size))
-    got = list(_orbit_atoms(T, weights, length, DEFAULT_CAPACITY))
+    d = len(partition)
+    chunks = list(_orbit_atoms(T, weights, length, DEFAULT_CAPACITY))
+    # Chunks of c steps, c the largest width with d**c <= 256, and a shorter last one.
+    c = min(length, {1: 8, 2: 8, 3: 5, 4: 4, 5: 3, 17: 1}[d])
+    widths = [width for _, width in chunks]
+    assert widths == [c] * (length // c) + ([length % c] if length % c else [])
+    got = chunk_steps(chunks, d)
     want = list(orbit_atoms_step_walk(T, weights, length))
     assert len(got) == len(want) == length
     for g, w in zip(got, want):
@@ -385,9 +417,14 @@ def test_word_runs_equal_a_counter_of_word_tuples(T, d, size, length, checked):
         assume(False)
     length = min(length, CEILING[d])
     cfg = LatticeConfig(size)
-    steps = list(_orbit_atoms(T, cell_weights(snapped, cfg), length, DEFAULT_CAPACITY))
+    weights = cell_weights(snapped, cfg)
+    chunks = list(_orbit_atoms(T, weights, length, DEFAULT_CAPACITY))
+    steps = chunk_steps(chunks, d)
+    assert len(steps) == length
+    for got, want in zip(steps, orbit_atoms_step_walk(T, weights, length)):
+        assert np.array_equal(got, want)
     walks = list(zip(*(symbols.tolist() for symbols in steps)))
-    runs = list(_word_runs(steps, d))
+    runs = list(_word_runs(chunks, d))
     assert [words.length for words in runs] == list(range(1, length + 1))
     for n, words in enumerate(runs, 1):
         tally = Counter(walk[:n] for walk in walks)
