@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import json
 import math
@@ -337,6 +338,20 @@ def _csv_text(command: str, config: dict, columns: list[str], rows: list[tuple])
     return "\n".join(lines) + "\n"
 
 
+def _check_output_path(path: Optional[str]) -> None:
+    """Refuse, before any work, an output path in a missing directory or naming one.
+
+    Raises `FileNotFoundError` or `IsADirectoryError` with the message that
+    `open` gives; other write failures surface in `_write_outputs`.
+    """
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _write_outputs(files: list[tuple[Optional[str], str]]) -> None:
     """Write each (path, text) in turn, to stdout where the path is None or empty.
 
@@ -380,7 +395,8 @@ _CLASSIFY_OPTS = [
         help="form factor for the breaking-time estimate (default 2.0)"),
     Opt("steps", int, default=0, flag_type=int,
         help="also report growth scale and diameter at this step count"),
-    Opt("output", str, help="write the JSON record here instead of stdout"),
+    Opt("output", str, check=_check_output_path,
+        help="write the JSON record here instead of stdout"),
 ]
 
 
@@ -452,7 +468,8 @@ _DIAMETERS_OPTS = [
         help="emit rows for n = 0..steps-max (default 12)"),
     Opt("samples", int, default=4096, flag_type=int,
         help="angular sample count for the brute-force diameter (default 4096)"),
-    Opt("output", str, help="CSV output path (stdout when omitted)"),
+    Opt("output", str, check=_check_output_path,
+        help="CSV output path (stdout when omitted)"),
 ]
 
 
@@ -490,7 +507,8 @@ _LOCALIZE_OPTS = [
     Opt("trials", int, default=100000, flag_type=int,
         help="random pairs/orbits to sample (default 100000)"),
     Opt("seed", int, required=True, flag_type=int, help="RNG seed (mandatory)"),
-    Opt("output", str, help="write the JSON report here instead of stdout"),
+    Opt("output", str, check=_check_output_path,
+        help="write the JSON report here instead of stdout"),
 ]
 
 
@@ -530,7 +548,8 @@ _EGOROV_OPTS = [
         help="quadrature mesh has grid-factor * N points per axis (default 2)"),
     Opt("quadrature", int, default=4, flag_type=int,
         help="cell-average sub-grid resolution (default 4)"),
-    Opt("output", str, help="CSV output path (stdout when omitted)"),
+    Opt("output", str, check=_check_output_path,
+        help="CSV output path (stdout when omitted)"),
 ]
 
 
@@ -585,8 +604,8 @@ _ENTROPY_OPTS = [
         help="non-hyperbolic breaking threshold on |S_ks - S_cs| (default 0.05)"),
     Opt("capacity", int, default=DEFAULT_CAPACITY, flag_type=int,
         help=f"largest allowed lattice point count (default {DEFAULT_CAPACITY})"),
-    Opt("output", str, required=True, help="CSV output path"),
-    Opt("manifest", str,
+    Opt("output", str, required=True, check=_check_output_path, help="CSV output path"),
+    Opt("manifest", str, check=_check_output_path,
         help="JSON manifest path (default: output path + '.manifest.json')"),
 ]
 

@@ -37,7 +37,7 @@ from .maps import (
     _check_form_factor,
     _step,
 )
-from .rectangles import TorusRectangle, _cell_overlaps, _check_disjoint
+from .rectangles import TorusRectangle, _axis_weights, _check_disjoint
 
 __all__ = [
     "ThresholdUnmetError",
@@ -145,8 +145,10 @@ def _indicator_entries(rects: tuple[TorusRectangle, ...], cfg: LatticeConfig) ->
     """Exact cell averages of an indicator: N^2 * overlap(cell, rectangles)."""
     entries = np.zeros(cfg.points)
     for rect in rects:
-        wx, wy = _cell_overlaps((rect.x_pieces(), rect.y_pieces()), cfg.size)
-        entries += np.kron(np.array(wx, dtype=float), np.array(wy, dtype=float))
+        (nx, ny), den = _axis_weights(
+            ((rect.x_start, rect.x_span), (rect.y_start, rect.y_span)), cfg.size
+        )
+        entries += np.kron((nx / den).astype(float), (ny / den).astype(float))
     return entries
 
 

@@ -41,7 +41,7 @@ from .lattice import (
     _permutation,
 )
 from .maps import Family, ToralMatrix, classify, _step
-from .rectangles import TorusRectangle, _cell_overlaps, _check_disjoint
+from .rectangles import TorusRectangle, _axis_weights, _check_disjoint
 
 __all__ = [
     "AlignmentRequiredError",
@@ -51,7 +51,6 @@ __all__ = [
     "partition_halves_x2",
     "partition_quadrants",
     "partition_bands_x2",
-    "is_aligned",
     "snap_partition",
     "CellWeightTable",
     "cell_weights",
@@ -222,29 +221,6 @@ def partition_bands_x2(count: int, name: str = "") -> Partition:
     return Partition(atoms, name=name or f"bands-x2:{count}")
 
 
-def _boundary_values(rect: TorusRectangle) -> list[Fraction]:
-    """The arc ends of an atom; a full-span arc has none, whatever its start."""
-    return [
-        v
-        for start, span in ((rect.x_start, rect.x_span), (rect.y_start, rect.y_span))
-        if span != 1
-        for v in (start, (start + span) % 1)
-    ]
-
-
-def is_aligned(partition: Partition, size: int) -> bool:
-    """True when every atom boundary sits on a lattice cell edge (k+1/2)/size.
-
-    The start of a full-span arc is no boundary and is not checked.
-    """
-    for rect in partition.atoms:
-        for v in _boundary_values(rect):
-            scaled = v * 2 * size
-            if scaled.denominator != 1 or scaled.numerator % 2 != 1:
-                return False
-    return True
-
-
 def _snap_boundary(value: Fraction, size: int) -> Fraction:
     """Nearest cell edge (k+1/2)/size, exact midpoints snapping upward."""
     k = (value * size).__floor__()
@@ -306,8 +282,10 @@ class CellWeightTable:
     Weights factor per axis for rectangular atoms:
     w = x_weights[atom, p1] * y_weights[atom, p2], each factor being size
     times the overlap length of the cell interval with the atom's pieces.
-    For aligned partitions every weight is 0 or 1 and `atom_of_cell` maps
-    each flat cell index to its unique atom.
+    `aligned` is read off the weights: it holds when every weight is 0 or
+    1, that is when every atom boundary lies on a cell edge (k+1/2)/size
+    (the start of a full-span arc is no boundary).  `atom_of_cell` then
+    maps each flat cell index to its unique atom.
     """
 
     cfg: LatticeConfig
@@ -322,31 +300,25 @@ class CellWeightTable:
         return self.x_weights[:, p1].T * self.y_weights[:, p2].T
 
 
-def _aligned_cells(start: Fraction, span: Fraction, size: int) -> np.ndarray:
-    """Cells of an arc whose edges lie on cell edges: (2k+1)/(2 size) opens cell k+1."""
-    first = (start * 2 * size).numerator // 2 + 1
-    return (first + np.arange(int(span * size))) % size
-
-
 def cell_weights(partition: Partition, cfg: LatticeConfig) -> CellWeightTable:
     size = cfg.size
     d = len(partition)
-    aligned = is_aligned(partition, size)
+    arcs = [(atom.x_start, atom.x_span) for atom in partition.atoms]
+    arcs += [(atom.y_start, atom.y_span) for atom in partition.atoms]
+    num, den = _axis_weights(arcs, size)
+    nx, ny = num[:d], num[d:]
+    # Aligned: every atom boundary is a cell edge, so no cell is cut.
+    aligned = bool(np.all((num == 0) | (num == den)))
     atom_map = None
     if aligned:
-        # Each atom covers the product of its rows and columns, read off its
-        # integer edge positions; every cell must be covered exactly once.
-        wx = np.zeros((d, size))
-        wy = np.zeros((d, size))
+        # Each atom covers the product of its full rows and columns; every
+        # cell must be covered exactly once.
         atom_map = np.empty((size, size), dtype=np.uint8)
         hits = np.zeros((size, size), dtype=np.uint8)
-        for a, atom in enumerate(partition.atoms):
-            rows = _aligned_cells(atom.x_start, atom.x_span, size)
-            cols = _aligned_cells(atom.y_start, atom.y_span, size)
-            wx[a, rows] = 1.0
-            wy[a, cols] = 1.0
-            atom_map[np.ix_(rows, cols)] = a
-            hits[np.ix_(rows, cols)] += 1
+        for a in range(d):
+            cells = np.ix_(np.flatnonzero(nx[a]), np.flatnonzero(ny[a]))
+            atom_map[cells] = a
+            hits[cells] += 1
         bad = np.flatnonzero(hits != 1)
         if bad.size:
             p1, p2 = divmod(int(bad[0]), size)
@@ -355,27 +327,20 @@ def cell_weights(partition: Partition, cfg: LatticeConfig) -> CellWeightTable:
             )
         atom_map = atom_map.ravel()
     else:
-        arcs = [atom.x_pieces() for atom in partition.atoms]
-        arcs += [atom.y_pieces() for atom in partition.atoms]
-        overlaps = _cell_overlaps(arcs, size)
-        wx_frac, wy_frac = overlaps[:d], overlaps[d:]
         # Exact sanity check on a few cells.
         for p1 in (0, size // 2, size - 1):
             for p2 in (0, size // 2, size - 1):
-                total = sum(
-                    (wx_frac[a][p1] * wy_frac[a][p2] for a in range(d)), Fraction(0)
-                )
-                if total != 1:
+                total = sum(int(nx[a, p1]) * int(ny[a, p2]) for a in range(d))
+                if total != den * den:
                     raise AssertionError(
-                        f"cell ({p1},{p2}) atom weights sum to {total}, expected 1"
+                        f"cell ({p1},{p2}) atom weights sum to "
+                        f"{Fraction(total, den * den)}, expected 1"
                     )
-        wx = np.array([[float(v) for v in row] for row in wx_frac])
-        wy = np.array([[float(v) for v in row] for row in wy_frac])
     return CellWeightTable(
         cfg=cfg,
         atom_count=d,
-        x_weights=wx,
-        y_weights=wy,
+        x_weights=(nx / den).astype(float),
+        y_weights=(ny / den).astype(float),
         aligned=aligned,
         atom_of_cell=atom_map,
     )
@@ -772,10 +737,11 @@ def cs_probabilities(
     cell of the discrete orbit and the word's step-k atom.  T None means
     identity dynamics (the orbit never moves).
 
-    Aligned partitions (every boundary on a cell edge) reduce to exact
-    orbit-word counting; the table then carries integer counts out of
-    size**2.  Unaligned partitions take a dense product-weight recursion
-    over all alphabet**length words, refused beyond 4096 words — snap the
+    Aligned partitions (`weights.aligned`: every cell weight 0 or 1, so
+    every boundary is on a cell edge) reduce to exact orbit-word counting;
+    the table then carries integer counts out of size**2.  Unaligned
+    partitions take a dense product-weight recursion over all
+    alphabet**length words, refused beyond 4096 words — snap the
     partition to the lattice first for long words.
     """
     _check_word_space(length, len(partition))
@@ -1038,13 +1004,9 @@ def compare_entropy_production(
     children = np.random.SeedSequence(seed).spawn(n_sizes)
     for i, size in enumerate(sizes):
         cfg = LatticeConfig(size)
-        if cfg.points > capacity:
-            raise CapacityExceededError(
-                f"lattice with {cfg.points} points exceeds capacity {capacity}"
-            )
         snapped, shift = snap_partition(partition, size)
         snap_shifts.append(shift)
-        weights = cell_weights(snapped, cfg)
+        weights = _checked_weights(cfg, snapped, capacity, None)
         atoms_mc = _classical_atom_matrix(T, weights, n_max, samples, children[i])
         lattice = _word_runs(_orbit_atoms(T, weights, n_max, capacity), d)
         brk: Optional[int] = None

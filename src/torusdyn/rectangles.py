@@ -2,21 +2,23 @@
 
 Rectangles are products of half-open circle arcs, each stored as a start in
 [0, 1) plus a span in (0, 1], so an arc may wrap through the seam at 0.
-All geometry here is done in exact `fractions.Fraction` arithmetic: arc
-overlaps, lattice cell overlaps along an axis, and rectangle overlap areas.
+Arc overlaps and rectangle overlap areas are exact `fractions.Fraction`
+arithmetic.  Lattice cell overlaps along an axis (`_axis_weights`) are exact
+too, as integer numerators over a common denominator, in closed form for
+all cells at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "TorusRectangle",
     "arc_pieces",
-    "cell_interval_pieces",
     "pieces_overlap",
     "rectangle_overlap_area",
 ]
@@ -100,26 +102,32 @@ def arc_pieces(start: Fraction, span: Fraction) -> tuple[tuple[Fraction, Fractio
     return ((start, _ONE), (_ZERO, end - _ONE))
 
 
-def cell_interval_pieces(p: int, n: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Linear pieces of the 1/n circle interval centered at p/n.
+def _axis_weights(
+    arcs: Sequence[tuple[Fraction, Fraction]], n: int
+) -> tuple[np.ndarray, int]:
+    """Per (start, span) arc, n times its overlap with each 1/n cell interval.
 
-    This is one axis of the half-open lattice cell [p/n - 1/(2n), p/n + 1/(2n));
-    the cell at p = 0 wraps the seam and decomposes into two pieces.
+    Returns integer numerators, shape (len(arcs), n), over one common
+    denominator: 1 inside the arc, 0 outside, and the covered fraction in
+    the cells its ends cut.  On the circle scaled by 2 n L, L the lcm of the
+    arcs' denominators, every arc end is an integer and cell p is
+    [(2p-1) L, (2p+1) L).  An arc's overlap with a cell is then the measure
+    of its copies [S + m 2nL, S + W + m 2nL), m = -2, -1, 0, below the
+    cell's end less that below its start (copies further left lie below
+    both), and the weight is that overlap over 2 L.  The numerators are
+    int64 while the scaled circle stays below 2**53, so numerator /
+    denominator is the correctly rounded float; past that they are Python
+    integers.
     """
-    start = (Fraction(p, n) - Fraction(1, 2 * n)) % 1
-    return arc_pieces(start, Fraction(1, n))
-
-
-def _cell_overlaps(
-    arcs: Iterable[tuple[tuple[Fraction, Fraction], ...]], n: int
-) -> list[list[Fraction]]:
-    """Per arc, n times its overlap with each 1/n cell interval p = 0..n-1.
-
-    These are exact per-cell weights along one axis: 1 inside the arc, 0
-    outside, and the covered fraction in the cells its ends cut.
-    """
-    cells = [cell_interval_pieces(p, n) for p in range(n)]
-    return [[n * pieces_overlap(cell, arc) for cell in cells] for arc in arcs]
+    half = math.lcm(*(f.denominator for arc in arcs for f in arc))
+    circle = 2 * n * half
+    dtype = np.int64 if circle < 1 << 53 else object
+    starts = np.array([int(s * circle) for s, _ in arcs], dtype=dtype)[:, None, None]
+    widths = np.array([int(w * circle) for _, w in arcs], dtype=dtype)[:, None, None]
+    copies = starts + circle * np.arange(-2, 1, dtype=dtype)[:, None]
+    edges = (2 * np.arange(n + 1, dtype=dtype) - 1) * half
+    below = np.clip(edges - copies, 0, widths).sum(axis=1)
+    return np.diff(below, axis=1), 2 * half
 
 
 def pieces_overlap(

@@ -9,11 +9,13 @@ oracle is the plain `np.union1d` form of the fast merge; the permutation
 table is built point by point in Python integers, and the period oracle
 walks every cycle of it; the orbit-atom walk steps coordinate arrays instead
 of gathering on the permutation, and the cell-weight oracle takes exact
-`Fraction` overlaps instead of integer edge positions; `kernel_defect`
-evaluates the Egorov defect by the kernel route with its own single-step
-orbit walk, and `egorov_defect_exact_mesh` from every mesh point's exact
-integer orbit; the classical samplers are a float walk mod 1.0 and a 53-bit
-dyadic orbit, both read through `Partition.atom_index`, and a
+`Fraction` overlaps, one cell at a time through `cell_interval_pieces`,
+instead of the library's closed-form integer overlaps; `is_aligned` decides
+alignment from the atom boundaries instead of reading it off the weights;
+`kernel_defect` evaluates the Egorov defect by the kernel route with its
+own single-step orbit walk, and `egorov_defect_exact_mesh` from every mesh
+point's exact integer orbit; the classical samplers are a float walk mod 1.0
+and a 53-bit dyadic orbit, both read through `Partition.atom_index`, and a
 Python-integer dyadic orbit read through rational atom membership.
 `entropy_of_fractions` sums -p log p over sorted exact masses, and
 `partition_entropy` applies it to the atom areas.  The geometry oracle,
@@ -41,7 +43,7 @@ from torusdyn.discretize import (
 from torusdyn.entropy import Partition, ProbabilityTable
 from torusdyn.lattice import LatticeConfig, matrix_power_mod, round_coordinates
 from torusdyn.maps import ToralMatrix, _step, matrix_power_entries
-from torusdyn.rectangles import TorusRectangle, cell_interval_pieces, pieces_overlap
+from torusdyn.rectangles import TorusRectangle, arc_pieces, pieces_overlap
 
 # Mesh points per block in `kernel_defect`: the oracle's own constant, so a
 # tuning change to the library's blocks cannot steer the oracle.
@@ -240,6 +242,32 @@ def orbit_atoms_step_walk(T, weights, length: int):
         yield weights.atom_of_cell[p1 * size + p2]
         if one is not None and k + 1 < length:
             p1, p2 = _step(one, p1, p2, size)
+
+
+def cell_interval_pieces(p: int, n: int) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Linear pieces of the 1/n circle interval centered at p/n.
+
+    This is one axis of the half-open lattice cell [p/n - 1/(2n), p/n + 1/(2n));
+    the cell at p = 0 wraps the seam and decomposes into two pieces.
+    """
+    start = (Fraction(p, n) - Fraction(1, 2 * n)) % 1
+    return arc_pieces(start, Fraction(1, n))
+
+
+def is_aligned(partition: Partition, size: int) -> bool:
+    """True when every atom boundary sits on a lattice cell edge (k+1/2)/size.
+
+    The start of a full-span arc is no boundary and is not checked.
+    """
+    for rect in partition.atoms:
+        for start, span in ((rect.x_start, rect.x_span), (rect.y_start, rect.y_span)):
+            if span == 1:
+                continue
+            for v in (start, (start + span) % 1):
+                scaled = v * 2 * size
+                if scaled.denominator != 1 or scaled.numerator % 2 != 1:
+                    return False
+    return True
 
 
 def cell_weights_fraction_oracle(

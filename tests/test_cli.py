@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from torusdyn import cli
 from torusdyn.cli import EXIT_CAPACITY, EXIT_OK, EXIT_VALIDATION, build_parser, main
 
 
@@ -530,5 +531,21 @@ def test_unwritable_manifest_leaves_no_csv(argv, where, error, capsys, tmp_path)
     assert run(argv) == EXIT_VALIDATION
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"{error}: ") and str(manifest) in err
+    assert len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--output", "--manifest"])
+def test_unwritable_path_is_refused_before_the_work(flag, monkeypatch, capsys, tmp_path):
+    def planted(*args, **kwargs):
+        raise AssertionError("compare_entropy_production ran")
+
+    monkeypatch.setattr(cli, "compare_entropy_production", planted)
+    missing = tmp_path / "missing" / "x.csv"
+    argv = [str(tmp_path / "x.csv") if a == "{out}" else a for a in ENTROPY_OUT]
+    argv += [flag, str(missing)]
+    assert run(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("FileNotFoundError: ") and str(missing) in err
     assert len(err.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == []

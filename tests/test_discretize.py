@@ -23,12 +23,17 @@ from torusdyn.maps import ToralMatrix, cat_map, classify, matrix_power_entries
 from torusdyn.rectangles import (
     TorusRectangle,
     arc_pieces,
-    cell_interval_pieces,
     pieces_overlap,
     rectangle_overlap_area,
 )
 
-from conftest import clip_polygon_to_box, egorov_defect_exact_mesh, kernel_defect, polygon_area
+from conftest import (
+    cell_interval_pieces,
+    clip_polygon_to_box,
+    egorov_defect_exact_mesh,
+    kernel_defect,
+    polygon_area,
+)
 
 CAT = cat_map()
 SHEAR = ToralMatrix(1, 1, 0, 1)

@@ -23,7 +23,6 @@ from torusdyn.entropy import (
     cs_entropy,
     cs_probabilities,
     fannes_bound,
-    is_aligned,
     partition_bands_x2,
     partition_halves_x1,
     partition_halves_x2,
@@ -42,6 +41,7 @@ from conftest import (
     classical_atom_matrix_float,
     classical_probabilities_mc,
     exact_refinement_probabilities,
+    is_aligned,
     lattice_word_sampler_mc,
     partition_entropy,
     probs_on_union_oracle,

@@ -1,10 +1,11 @@
 """Properties of the shared lattice step, matrix powers, the kernel, orbit
-periods, the permutation table and the orbit walk on it, partition snapping,
-word counter, tables and exact entropy, the dyadic classical sampler and
-Egorov defect.
+periods, the permutation table and the orbit walk on it, cell overlaps and
+alignment, partition snapping, word counter, tables and exact entropy, the
+dyadic classical sampler and Egorov defect.
 
 Random unimodular matrices with entries in [-5, 5] are checked against
-Python-integer, coordinate-walk, cycle-walk and exact-mesh oracles; the
+Python-integer, coordinate-walk, cycle-walk and exact-mesh oracles, and
+random arcs against `Fraction` cell overlaps; the
 int64 overflow guard is checked at its boundary and through `kernel_many`
 and the CLI, and the unsigned power-of-two step against Python integers.
 """
@@ -30,7 +31,6 @@ from torusdyn.entropy import (
     cell_weights,
     cs_entropies,
     cs_entropy,
-    is_aligned,
     partition_bands_x2,
     partition_halves_x1,
     partition_halves_x2,
@@ -47,14 +47,17 @@ from torusdyn.lattice import (
     orbit_period,
 )
 from torusdyn.maps import ToralMatrix, cat_map, matrix_power_entries, _step
-from torusdyn.rectangles import TorusRectangle
+from torusdyn.rectangles import TorusRectangle, _axis_weights, arc_pieces, pieces_overlap
 
 from conftest import (
     ReplayedDraws,
+    cell_interval_pieces,
+    cell_weights_fraction_oracle,
     classical_atom_matrix_53bit,
     classical_atoms_python_int,
     egorov_defect_exact_mesh,
     entropy_of_fractions,
+    is_aligned,
     orbit_atoms_step_walk,
     orbit_period_cycle_walk,
     permutation_table_python_int,
@@ -325,6 +328,72 @@ def test_orbit_atoms_gather_equals_step_walk(T, size, partition, length):
     assert len(got) == len(want) == length
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+# --- cell overlaps ---------------------------------------------------------------
+
+# A prime denominator past 2**53: its arcs take the Python-integer path.
+HUGE = (1 << 61) - 1
+
+
+def circle_arcs(n: int):
+    """(start, span) arcs: any rational arc, wrapping or not; a full span from
+    a non-zero start; an arc narrower than one cell; and arcs whose
+    denominator is a prime past 2**53.  Starts land anywhere, on cell edges,
+    and in the half of cell 0 below the seam."""
+    def over(q: int, lo: int, hi: int):  # k / q for lo <= k <= hi
+        return st.integers(lo, hi).map(lambda k: Fraction(k, q))
+
+    narrow = st.integers(2, 9).flatmap(lambda m: over(m * n, 1, m - 1))
+    inside = st.one_of(
+        st.integers(2, 6 * n).flatmap(lambda q: over(q, 1, q - 1)),
+        st.integers(0, n - 1).map(lambda k: Fraction(2 * k + 1, 2 * n)),  # cell edges
+        narrow.map(lambda f: 1 - f / 2),  # below the seam, inside cell 0
+    )
+    point = st.one_of(st.just(Fraction(0)), inside)
+    span = st.one_of(st.integers(1, 6 * n).flatmap(lambda q: over(q, 1, q)), over(n, 1, n))
+    return st.one_of(
+        st.tuples(point, span),
+        st.tuples(inside, st.just(Fraction(1))),
+        st.tuples(point, narrow),
+        st.tuples(over(HUGE, 0, HUGE - 1), over(HUGE, 1, HUGE)),
+    )
+
+
+def _arc_and_complement(start: Fraction, span: Fraction) -> list[tuple[Fraction, Fraction]]:
+    return [(start, span)] if span == 1 else [(start, span), ((start + span) % 1, 1 - span)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(2, 64).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(circle_arcs(n), min_size=2, max_size=4))))
+@example((8, [(Fraction(7, 8), Fraction(1, 4)), (Fraction(1, 3), Fraction(1))]))  # wrap, full
+@example((8, [(Fraction(31, 32), Fraction(1)), (Fraction(63, 64), Fraction(15, 16))]))  # seam
+@example((8, [(Fraction(3, 16), Fraction(1, 1)), (Fraction(5, 16), Fraction(1, 2))]))  # aligned
+@example((5, [(Fraction(1, 7), Fraction(1, 40)), (Fraction(9, 10), Fraction(1, 10))]))  # narrow
+def test_axis_weights_equal_fraction_overlaps(case):
+    n, arcs = case
+    num, den = _axis_weights(arcs, n)
+    assert num.shape == (len(arcs), n)
+    cells = [cell_interval_pieces(p, n) for p in range(n)]
+    for row, (start, span) in zip(num, arcs):
+        want = [n * pieces_overlap(cell, arc_pieces(start, span)) for cell in cells]
+        assert [Fraction(int(v), den) for v in row] == want
+    # The product of the first two arcs and their complements: alignment
+    # read off its weights agrees with the boundary test, and the float
+    # weights are the correctly rounded Fraction ones.
+    partition = Partition(tuple(
+        TorusRectangle(xs, xw, ys, yw)
+        for xs, xw in _arc_and_complement(*arcs[0])
+        for ys, yw in _arc_and_complement(*arcs[1])
+    ))
+    weights = cell_weights(partition, LatticeConfig(n))
+    assert weights.aligned == is_aligned(partition, n)
+    wx, wy, atom_of_cell = cell_weights_fraction_oracle(partition, n)
+    assert weights.x_weights.tobytes() == wx.tobytes()
+    assert weights.y_weights.tobytes() == wy.tobytes()
+    if weights.aligned:
+        assert np.array_equal(weights.atom_of_cell, atom_of_cell)
 
 
 # --- snapping a partition to the lattice -----------------------------------------
