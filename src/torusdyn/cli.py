@@ -12,9 +12,10 @@ Configuration comes from flags, optionally backed by a plain-text config
 file of `key = value` lines (`--config FILE`); flags win over the file.
 Stochastic subcommands require an explicit seed.  Every output embeds the
 fully resolved configuration, so a run is reproducible from its own file.
-Sweeps parallelize over lattice sizes when TORUSDYN_THREADS is set above 1;
-outputs are assembled in sorted order after the join and are byte-identical
-at any thread count.
+The per-size sweeps of `egorov` and `entropy --mode components` run in
+threads when TORUSDYN_THREADS is set above 1; outputs are assembled in
+sorted order after the join and are byte-identical at any thread count.
+Compare mode runs its sizes in order whatever the setting.
 
 Exit codes: 0 success, 2 validation error (including an output path that
 cannot be written, which leaves no output file, and a request whose result

@@ -29,6 +29,7 @@ way are directly comparable code by code.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -316,9 +317,10 @@ def cell_weights(partition: Partition, cfg: LatticeConfig) -> CellWeightTable:
         atom_map = np.empty((size, size), dtype=np.uint8)
         hits = np.zeros((size, size), dtype=np.uint8)
         for a in range(d):
-            cells = np.ix_(np.flatnonzero(nx[a]), np.flatnonzero(ny[a]))
-            atom_map[cells] = a
-            hits[cells] += 1
+            for r0, r1 in _cell_runs(nx[a]):
+                for c0, c1 in _cell_runs(ny[a]):
+                    atom_map[r0:r1, c0:c1] = a
+                    hits[r0:r1, c0:c1] += 1
         bad = np.flatnonzero(hits != 1)
         if bad.size:
             p1, p2 = divmod(int(bad[0]), size)
@@ -344,6 +346,13 @@ def cell_weights(partition: Partition, cfg: LatticeConfig) -> CellWeightTable:
         aligned=aligned,
         atom_of_cell=atom_map,
     )
+
+
+def _cell_runs(row: np.ndarray) -> list[tuple[int, int]]:
+    """(start, stop) of each run of nonzero entries: two for an arc that wraps."""
+    cells = np.flatnonzero(row)
+    cut = np.flatnonzero(np.diff(cells) != 1) + 1
+    return [(int(run[0]), int(run[-1]) + 1) for run in np.split(cells, cut) if run.size]
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +628,9 @@ class _Words:
     @property
     def codes(self) -> np.ndarray:
         """The distinct words, oldest symbol most significant, increasing."""
-        return self.sorted_codes[self.bounds[:-1]] // self.scale
+        codes = self.sorted_codes[self.bounds[:-1]]
+        codes //= self.scale
+        return codes
 
     def table(self) -> ProbabilityTable:
         counts = self.counts
@@ -861,6 +872,18 @@ def _fannes_eta(x: float) -> float:
     return -x * math.log(x)
 
 
+def _total_variation(a: ProbabilityTable, b: ProbabilityTable) -> tuple[np.ndarray, float, float]:
+    """(diff, delta, bound): |a - b| on the union support, its sum, and the Fannes bound.
+
+    bound = delta * log(word space) + eta(delta), with the word space of a.
+    """
+    diff, pb = _probs_on_union(a, b)
+    diff -= pb  # in place: on the ladder these are the audit's largest arrays
+    np.abs(diff, out=diff)
+    delta = float(diff.sum())
+    return diff, delta, delta * a.length * math.log(a.alphabet) + _fannes_eta(delta)
+
+
 def fannes_bound(a: ProbabilityTable, b: ProbabilityTable) -> tuple[float, float]:
     """Total-variation continuity bound on the entropy difference.
 
@@ -873,15 +896,24 @@ def fannes_bound(a: ProbabilityTable, b: ProbabilityTable) -> tuple[float, float
             f"tables describe different word spaces: "
             f"({a.alphabet}**{a.length}) vs ({b.alphabet}**{b.length})"
         )
-    pa, pb = _probs_on_union(a, b)
-    delta = float(np.abs(pa - pb).sum())
-    bound = delta * a.length * math.log(a.alphabet) + _fannes_eta(delta)
+    _, delta, bound = _total_variation(a, b)
     gap = abs(shannon_entropy(a) - shannon_entropy(b))
     if gap > bound + 1e-9:
         raise AssertionError(
             f"entropy gap {gap} exceeds its continuity bound {bound}"
         )
     return delta, bound
+
+
+def _fannes_audit(cs: _Words, ks: _Words) -> tuple[float, float]:
+    """eps_hat and the Fannes margin (bound less entropy gap) of one length's words.
+
+    A pure function of two frozen word sets that calls no public function,
+    so it can run on the comparison's helper thread.
+    """
+    diff, _, bound = _total_variation(cs.table(), ks.table())
+    eps = float(diff.max()) if diff.size else 0.0
+    return eps, bound - abs(cs.entropy - ks.entropy)
 
 
 @dataclass(frozen=True)
@@ -975,9 +1007,13 @@ def compare_entropy_production(
     `diff_support_cap` also gets a pointwise sup-difference (`eps_hat`) and
     a total-variation entropy continuity check; larger pairs record NaN
     and are skipped (the entropy and breaking outputs never depend on
-    these diagnostics).  Once the lattice words separate all N**2 >=
-    `diff_support_cap` points, so that no longer length is audited, lattice
-    counting stops: longer words refine them, so S_cs stays at that log N**2.
+    these diagnostics).  These audits run on one helper thread, each as
+    soon as both sides' words of its length exist, while this thread walks
+    and samples on; the results are read back in order, so they are
+    bit-identical to a serial audit, and the thread ends with the call.
+    Once the lattice words separate all N**2 >= `diff_support_cap` points,
+    so that no longer length is audited, lattice counting stops: longer
+    words refine them, so S_cs stays at that log N**2.
     """
     _check_word_space(n_max, len(partition))
     sizes = tuple(int(s) for s in sizes)
@@ -998,47 +1034,41 @@ def compare_entropy_production(
     eps_hat = np.zeros((n_sizes, n_max))
     snap_shifts = []
     breaking: list[Optional[int]] = []
-    fannes_checked = 0
-    fannes_violations = 0
-    fannes_min_margin = math.inf
     children = np.random.SeedSequence(seed).spawn(n_sizes)
-    for i, size in enumerate(sizes):
-        cfg = LatticeConfig(size)
-        snapped, shift = snap_partition(partition, size)
-        snap_shifts.append(shift)
-        weights = _checked_weights(cfg, snapped, capacity, None)
-        atoms_mc = _classical_atom_matrix(T, weights, n_max, samples, children[i])
-        lattice = _word_runs(_orbit_atoms(T, weights, n_max, capacity), d)
-        brk: Optional[int] = None
-        for n, ks in enumerate(_word_runs(((symbols, 1) for symbols in atoms_mc), d), 1):
-            k = n - 1
-            if lattice is not None:
-                cs = next(lattice)
-                s_cs[i, n:] = cs.entropy  # holds until a longer length
-                if cs.support == cfg.points >= diff_support_cap:
-                    lattice.close()
-                    lattice = None
-            s_ks[i, n] = ks.entropy
-            if cs.support + ks.support <= diff_support_cap:
-                pa, pb = _probs_on_union(cs.table(), ks.table())
-                diff = np.abs(pa - pb)
-                eps_hat[i, k] = float(diff.max()) if diff.size else 0.0
-                delta = float(diff.sum())
-                bound = delta * n * math.log(d) + _fannes_eta(delta)
-                margin = bound - abs(s_cs[i, n] - s_ks[i, n])
-                fannes_checked += 1
-                fannes_min_margin = min(fannes_min_margin, margin)
-                if margin < 0:
-                    fannes_violations += 1
-            else:
-                eps_hat[i, k] = math.nan
-            if brk is None:
-                if hyperbolic:
-                    if n >= 2 and s_cs[i, n] - s_cs[i, n - 1] < break_increment_fraction * rate:
+    audits = []  # (size index, length index, future), in submission order
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for i, size in enumerate(sizes):
+            cfg = LatticeConfig(size)
+            snapped, shift = snap_partition(partition, size)
+            snap_shifts.append(shift)
+            weights = _checked_weights(cfg, snapped, capacity, None)
+            atoms_mc = _classical_atom_matrix(T, weights, n_max, samples, children[i])
+            lattice = _word_runs(_orbit_atoms(T, weights, n_max, capacity), d)
+            brk: Optional[int] = None
+            for n, ks in enumerate(_word_runs(((symbols, 1) for symbols in atoms_mc), d), 1):
+                k = n - 1
+                if lattice is not None:
+                    cs = next(lattice)
+                    s_cs[i, n:] = cs.entropy  # holds until a longer length
+                    if cs.support == cfg.points >= diff_support_cap:
+                        lattice.close()
+                        lattice = None
+                s_ks[i, n] = ks.entropy
+                if cs.support + ks.support <= diff_support_cap:
+                    audits.append((i, k, helper.submit(_fannes_audit, cs, ks)))
+                else:
+                    eps_hat[i, k] = math.nan
+                if brk is None:
+                    if hyperbolic:
+                        if n >= 2 and s_cs[i, n] - s_cs[i, n - 1] < break_increment_fraction * rate:
+                            brk = n
+                    elif abs(s_ks[i, n] - s_cs[i, n]) > abs_gap_threshold:
                         brk = n
-                elif abs(s_ks[i, n] - s_cs[i, n]) > abs_gap_threshold:
-                    brk = n
-        breaking.append(brk)
+            breaking.append(brk)
+        margins = []
+        for i, k, audit in audits:
+            eps_hat[i, k], margin = audit.result()
+            margins.append(margin)
     cs_inc = s_cs[:, 1:] - s_cs[:, :-1]
     ks_inc = s_ks[:, 1:] - s_ks[:, :-1]
     valid = [(math.log(sz), b) for sz, b in zip(sizes, breaking) if b is not None]
@@ -1068,7 +1098,7 @@ def compare_entropy_production(
         breaking=tuple(breaking),
         slope=slope,
         intercept=intercept,
-        fannes_checked=fannes_checked,
-        fannes_violations=fannes_violations,
-        fannes_min_margin=float(fannes_min_margin),
+        fannes_checked=len(margins),
+        fannes_violations=sum(margin < 0 for margin in margins),
+        fannes_min_margin=min(margins, default=math.inf),
     )

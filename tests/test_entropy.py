@@ -1,5 +1,6 @@
 """Word distributions and entropy production, lattice vs continuous."""
 import math
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from torusdyn.cli import EXIT_VALIDATION, main
 from torusdyn.entropy import (
     _classical_atom_matrix,
     _common_prefixes,
+    _orbit_atoms,
     _probs_on_union,
     _word_runs,
     AlignmentRequiredError,
@@ -30,7 +32,7 @@ from torusdyn.entropy import (
     shannon_entropy,
     snap_partition,
 )
-from torusdyn.lattice import CapacityExceededError, LatticeConfig
+from torusdyn.lattice import DEFAULT_CAPACITY, CapacityExceededError, LatticeConfig
 from torusdyn.maps import ToralMatrix, cat_map, classify
 from torusdyn.rectangles import TorusRectangle
 
@@ -625,6 +627,46 @@ def test_compare_stops_the_lattice_walk_at_separation(monkeypatch):
             audited = supports[n - 1] + np.unique(codes).size <= 1024
             got, full = capped.eps_hat[i, n - 1], default.eps_hat[i, n - 1]
             assert (got == full) if audited else math.isnan(got), (size, n)
+
+
+def test_compare_audit_on_its_helper_thread_matches_a_serial_audit(monkeypatch):
+    """The continuity audit runs beside the walk and gives the serial results.
+
+    Every length is audited at these sizes, so `eps_hat` and the Fannes
+    margins are recomputed here length by length from the same word sets.
+    An audit's exception reaches the caller, and either way the helper
+    thread is gone when the call ends.
+    """
+    part = partition_quadrants()
+    sizes, n_max, samples = (32, 64, 128), 12, 50_000
+    before = threading.active_count()
+    cmp = compare_entropy_production(CAT, part, n_max, sizes, samples, seed=11)
+    assert threading.active_count() == before
+    children = np.random.SeedSequence(11).spawn(len(sizes))
+    margins = []
+    for i, size in enumerate(sizes):
+        cfg = LatticeConfig(size)
+        snapped, _ = snap_partition(part, size)
+        weights = cell_weights(snapped, cfg)
+        atoms = _classical_atom_matrix(CAT, weights, n_max, samples, children[i])
+        lattice = _word_runs(_orbit_atoms(CAT, weights, n_max, DEFAULT_CAPACITY), 4)
+        classical = _word_runs(((symbols, 1) for symbols in atoms), 4)
+        for k, (cs, ks) in enumerate(zip(lattice, classical)):
+            pa, pb = _probs_on_union(cs.table(), ks.table())
+            assert cmp.eps_hat[i, k] == np.abs(pa - pb).max(), (size, k + 1)
+            _, bound = fannes_bound(cs.table(), ks.table())
+            margins.append(bound - abs(cs.entropy - ks.entropy))
+    assert cmp.fannes_checked == len(margins) == len(sizes) * n_max
+    assert cmp.fannes_violations == 0
+    assert cmp.fannes_min_margin == min(margins)
+
+    def failing(a, b):
+        raise RuntimeError("audit failed")
+
+    monkeypatch.setattr(entropy, "_probs_on_union", failing)
+    with pytest.raises(RuntimeError, match="audit failed"):
+        compare_entropy_production(CAT, part, n_max, sizes, samples, seed=11)
+    assert threading.active_count() == before
 
 
 def test_compare_low_entropy_partition_no_spurious_break():
