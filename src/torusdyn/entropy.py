@@ -39,7 +39,7 @@ import numpy as np
 
 from .lattice import (
     DEFAULT_CAPACITY, CapacityExceededError, LatticeConfig, build_permutation, matrix_power_mod,
-    _permutation,
+    _index_dtype, _permutation,
 )
 from .maps import Family, ToralMatrix, classify, _step
 from .rectangles import TorusRectangle, _axis_weights, _check_disjoint
@@ -460,30 +460,35 @@ class ProbabilityTable:
         return 0.0
 
 
-def _entropy_of_counts(counts: np.ndarray, total: int) -> float:
-    """Entropy in nats of the masses counts/total, a function of the count-of-counts.
+def _tally(tally: dict, counts: np.ndarray) -> dict:
+    """Add the count-of-counts of `counts` to `tally` (count -> multiplicity)."""
+    if counts.size:
+        top = int(counts.max())
+        if top <= 2 * counts.size:  # a histogram no longer than the counts beats a sort
+            hist = np.bincount(counts)
+            values = np.flatnonzero(hist)
+            multiplicities = hist[values]
+        else:
+            values, multiplicities = np.unique(counts, return_counts=True)
+        for value, m in zip(values.tolist(), multiplicities.tolist()):
+            tally[value] = tally.get(value, 0) + m
+    return tally
+
+
+def _entropy_of_counts(tally: dict, total: int) -> float:
+    """Entropy in nats of the masses count/total, from the count-of-counts `tally`.
 
     Each distinct count t with multiplicity m adds m copies of the float
     -p log p, p = t/total; their sum is taken exactly and rounded once, as
     `math.fsum` of all the copies would be.
     """
-    top = int(counts.max())
-    if top <= 2 * counts.size:  # a histogram no longer than the counts beats a sort
-        hist = np.bincount(counts)
-        values = np.flatnonzero(hist)
-        multiplicities = hist[values]
-    else:
-        values, multiplicities = np.unique(counts, return_counts=True)
-    keep = values > 0
-    ratios = [
-        (-p * math.log(p)).as_integer_ratio()
-        for p in (values[keep] / total).tolist()
-    ]
+    values = np.array([t for t in tally if t > 0], dtype=np.int64)
+    ratios = [(-p * math.log(p)).as_integer_ratio() for p in (values / total).tolist()]
     # Every denominator is a power of two: sum exactly over the largest one.
     bits = max(den.bit_length() for _, den in ratios) - 1
     exact = sum(
-        num * m << (bits - den.bit_length() + 1)
-        for (num, den), m in zip(ratios, multiplicities[keep].tolist())
+        num * tally[t] << (bits - den.bit_length() + 1)
+        for (num, den), t in zip(ratios, values.tolist())
     )
     return exact / (1 << bits)
 
@@ -498,7 +503,7 @@ def shannon_entropy(table: ProbabilityTable) -> float:
     path.
     """
     if table.is_exact:
-        return _entropy_of_counts(table.counts, table.total)
+        return _entropy_of_counts(_tally({}, table.counts), table.total)
     p = table.probs[table.probs > 0]
     return float(-(p * np.log(p)).sum())
 
@@ -553,7 +558,8 @@ def _classical_atom_matrix(
     return out
 
 
-_PREFIX_BLOCK = 1 << 16
+# Entries per block of the counter's passes over the walks: the temporaries stay small.
+_BLOCK = 1 << 14
 
 
 def _common_prefixes(codes: np.ndarray, alphabet: int, length: int) -> np.ndarray:
@@ -576,8 +582,8 @@ def _common_prefixes(codes: np.ndarray, alphabet: int, length: int) -> np.ndarra
         return shared
     powers = alphabet ** np.arange(length + 1, dtype=np.int64)
     scale = 1 / math.log(alphabet)
-    for start in range(1, codes.size, _PREFIX_BLOCK):
-        later = codes[start:start + _PREFIX_BLOCK]
+    for start in range(1, codes.size, _BLOCK):
+        later = codes[start:start + _BLOCK]
         gap = later - codes[start - 1:start - 1 + later.size]
         moved = np.flatnonzero(gap)  # equal neighbours share every digit
         later, gap = later[moved], gap[moved]
@@ -601,15 +607,19 @@ class _Words:
     """The words of one length among a sorted array of whole-walk codes.
 
     The length-n words are the codes' n-digit prefixes; equal words are one
-    run of the sorted array.  The runs start at `bounds[:-1]`, and
-    `bounds[-1]` is the total.  Their counts are worked out on demand, so
-    that a length's words hold one array of the walks' size, not two.
+    run of the sorted array, and a run starts wherever `shared`, the
+    prefix array of `_common_prefixes`, falls below n.  The counter fills
+    in `support` and `entropy`; the run bounds, and the codes and counts
+    read off them, are built only when something reads them (the Fannes
+    audit, aligned `cs_probabilities`): the runs start at `bounds[:-1]`,
+    and `bounds[-1]` is the total.
     """
 
     length: int
     alphabet: int
-    bounds: np.ndarray
+    support: int
     entropy: float
+    shared: np.ndarray
     sorted_codes: np.ndarray
     scale: int  # alphabet ** (walk length - length)
 
@@ -617,9 +627,9 @@ class _Words:
     def total(self) -> int:
         return self.sorted_codes.size
 
-    @property
-    def support(self) -> int:
-        return self.bounds.size - 1
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        return np.flatnonzero(self.shared < self.length)
 
     @property
     def counts(self) -> np.ndarray:
@@ -644,6 +654,47 @@ class _Words:
         )
 
 
+def _scan(shared: np.ndarray, test, count: int) -> np.ndarray:
+    """The `count` positions of `shared` where `test` holds, found block by block."""
+    found = np.empty(count, dtype=_index_dtype(shared.size))
+    filled = 0
+    for start in range(0, shared.size, _BLOCK):
+        hits = np.flatnonzero(test(shared[start:start + _BLOCK]))
+        found[filled:filled + hits.size] = hits + start
+        filled += hits.size
+    return found
+
+
+def _bound_tally(bounds: np.ndarray) -> dict:
+    """Count-of-counts of the runs between consecutive `bounds`."""
+    tally = {}
+    for start in range(0, bounds.size - 1, _BLOCK):
+        _tally(tally, np.diff(bounds[start:start + _BLOCK + 1]))
+    return tally
+
+
+def _continuation_tally(cont: np.ndarray, support: int) -> dict:
+    """Count-of-counts of `support` runs, `cont` the walks that continue a run.
+
+    A block of g consecutive positions in `cont` is one run of g + 1 walks;
+    every other run is a single walk.
+    """
+    tally = {}
+    first = 0  # where the open block starts in `cont`
+    for start in range(1, cont.size, _BLOCK):
+        breaks = np.flatnonzero(np.diff(cont[start - 1:start + _BLOCK]) != 1) + start
+        if breaks.size:
+            _tally(tally, np.diff(breaks, prepend=first) + 1)
+            first = int(breaks[-1])
+    if cont.size:
+        last = cont.size - first + 1
+        tally[last] = tally.get(last, 0) + 1
+    singles = support - sum(tally.values())
+    if singles:
+        tally[1] = singles
+    return tally
+
+
 def _word_runs(chunks, alphabet: int):
     """The word counter: the words of every length of a set of walks, from one sort.
 
@@ -651,10 +702,22 @@ def _word_runs(chunks, alphabet: int):
     pair per chunk: `digits` holds every walk's `width` symbols of the
     chunk as one base-`alphabet` number, oldest symbol most significant.
     It packs each walk's L symbols into one int64 code with step k's symbol
-    at significance alphabet**(L-1-k), sorts the codes once and yields the
-    `_Words` of lengths 1..L in turn.  A length-n run starts wherever
-    neighbours share fewer than n leading digits.  Past the longest shared
-    prefix every walk has a word of its own, and no length is counted.
+    at significance alphabet**(L-1-k), sorts the codes once, finds their
+    common prefixes and yields the `_Words` of lengths 1..L in turn.
+
+    Every length's support is read off one histogram of the prefix array,
+    and each length's entropy is counted from the smaller side, so no
+    length holds an array of the walks' size:
+
+    * Lengths whose support is at most half the walks take their run
+      bounds from one scan at the longest of them, B_n = {j: shared[j] <
+      n}, and filter them down, B_{n-1} = B_n[shared[B_n] < n - 1].
+    * Longer lengths take the walks that continue a run, C_n = {j:
+      shared[j] >= n}, from one scan at the shortest of them and filter
+      them up, C_{n+1} = C_n[shared[C_n] >= n + 1].  Once C_n is empty
+      every walk has a word of its own, and no longer length is counted.
+
+    Both give each length the same count-of-counts as its run bounds.
     """
     codes = None
     length = 0
@@ -668,12 +731,30 @@ def _word_runs(chunks, alphabet: int):
     codes.sort()
     shared = _common_prefixes(codes, alphabet, length)
     total = codes.size
-    alone = int(shared.max()) + 1  # from this length on each walk has its own word
+    pairs = np.zeros(length + 1, dtype=np.int64)  # neighbours by shared prefix length
+    for start in range(1, total, _BLOCK):
+        pairs += np.bincount(shared[start:min(start + _BLOCK, total)], minlength=length + 1)
+    supports = (1 + np.cumsum(pairs[:length])).tolist()  # length n at n - 1
+    cut = sum(2 * support <= total for support in supports)  # lengths 1..cut are short
+    entropies = [0.0] * length
+    if cut:
+        bounds = _scan(shared, lambda block: block < cut, supports[cut - 1] + 1)
+        for n in range(cut, 0, -1):
+            if n < cut:
+                bounds = bounds[shared[bounds] < n]
+            entropies[n - 1] = _entropy_of_counts(_bound_tally(bounds), total)
+    if cut < length:
+        cont = _scan(shared, lambda block: block > cut, total - supports[cut])
+        for n in range(cut + 1, length + 1):
+            if n > cut + 1:
+                cont = cont[shared[cont] >= n]
+            entropies[n - 1] = _entropy_of_counts(_continuation_tally(cont, supports[n - 1]), total)
+            if not cont.size:  # separated: longer words refine nothing
+                entropies[n:] = entropies[n - 1:n] * (length - n)
+                break
     for n in range(1, length + 1):
-        if n <= max(alone, 1):
-            bounds = np.flatnonzero(shared < n)
-            entropy = _entropy_of_counts(np.diff(bounds), total)
-        yield _Words(n, alphabet, bounds, entropy, codes, alphabet ** (length - n))
+        yield _Words(n, alphabet, supports[n - 1], entropies[n - 1], shared, codes,
+                     alphabet ** (length - n))
 
 
 # ---------------------------------------------------------------------------
@@ -1011,6 +1092,8 @@ def compare_entropy_production(
     soon as both sides' words of its length exist, while this thread walks
     and samples on; the results are read back in order, so they are
     bit-identical to a serial audit, and the thread ends with the call.
+    An audit that raises stops the call at the next size, and any error
+    cancels the audits still queued.
     Once the lattice words separate all N**2 >= `diff_support_cap` points,
     so that no longer length is audited, lattice counting stops: longer
     words refine them, so S_cs stays at that log N**2.
@@ -1036,8 +1119,12 @@ def compare_entropy_production(
     breaking: list[Optional[int]] = []
     children = np.random.SeedSequence(seed).spawn(n_sizes)
     audits = []  # (size index, length index, future), in submission order
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
         for i, size in enumerate(sizes):
+            for *_, audit in audits:  # a failed audit stops the call here
+                if audit.done():
+                    audit.result()
             cfg = LatticeConfig(size)
             snapped, shift = snap_partition(partition, size)
             snap_shifts.append(shift)
@@ -1069,6 +1156,8 @@ def compare_entropy_production(
         for i, k, audit in audits:
             eps_hat[i, k], margin = audit.result()
             margins.append(margin)
+    finally:
+        helper.shutdown(cancel_futures=True)  # an error leaves queued audits unstarted
     cs_inc = s_cs[:, 1:] - s_cs[:, :-1]
     ks_inc = s_ks[:, 1:] - s_ks[:, :-1]
     valid = [(math.log(sz), b) for sz, b in zip(sizes, breaking) if b is not None]

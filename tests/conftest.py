@@ -17,6 +17,9 @@ own single-step orbit walk, and `egorov_defect_exact_mesh` from every mesh
 point's exact integer orbit; the classical samplers are a float walk mod 1.0
 and a 53-bit dyadic orbit, both read through `Partition.atom_index`, and a
 Python-integer dyadic orbit read through rational atom membership.
+`word_runs_scan_per_length` counts every word length of a set of walks by
+a full scan of the prefix array per length, where the library's counter
+filters run bounds or continuations from one scan on each side.
 `entropy_of_fractions` sums -p log p over sorted exact masses, and
 `partition_entropy` applies it to the atom areas.  The geometry oracle,
 `exact_refinement_probabilities`, gives exact length-1 and length-2 word
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,7 +44,9 @@ from torusdyn.discretize import (
     _cell_axis_coordinates,
     _indicator_entries,
 )
-from torusdyn.entropy import Partition, ProbabilityTable
+from torusdyn.entropy import (
+    Partition, ProbabilityTable, _common_prefixes, _entropy_of_counts, _tally,
+)
 from torusdyn.lattice import LatticeConfig, matrix_power_mod, round_coordinates
 from torusdyn.maps import ToralMatrix, _step, matrix_power_entries
 from torusdyn.rectangles import TorusRectangle, arc_pieces, pieces_overlap
@@ -242,6 +248,33 @@ def orbit_atoms_step_walk(T, weights, length: int):
         yield weights.atom_of_cell[p1 * size + p2]
         if one is not None and k + 1 < length:
             p1, p2 = _step(one, p1, p2, size)
+
+
+def word_runs_scan_per_length(chunks, alphabet: int):
+    """Each length's support, entropy, run bounds, codes and counts, one scan each.
+
+    Packs the (digits, width) chunks into whole-walk codes with Python
+    integers, sorts them and, for every length n, takes the run bounds
+    `np.flatnonzero(shared < n)` over the whole prefix array and the counts
+    between them.
+    """
+    walks = [0] * chunks[0][0].size
+    length = 0
+    for digits, width in chunks:
+        walks = [w * alphabet**width + int(x) for w, x in zip(walks, digits.tolist())]
+        length += width
+    codes = np.array(sorted(walks), dtype=np.int64)
+    shared = _common_prefixes(codes, alphabet, length)
+    for n in range(1, length + 1):
+        bounds = np.flatnonzero(shared < n)
+        counts = np.diff(bounds)
+        yield SimpleNamespace(
+            support=counts.size,
+            entropy=_entropy_of_counts(_tally({}, counts), codes.size),
+            bounds=bounds,
+            codes=codes[bounds[:-1]] // alphabet ** (length - n),
+            counts=counts,
+        )
 
 
 def cell_interval_pieces(p: int, n: int) -> tuple[tuple[Fraction, Fraction], ...]:

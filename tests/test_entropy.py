@@ -1,6 +1,8 @@
 """Word distributions and entropy production, lattice vs continuous."""
+import concurrent.futures
 import math
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -276,6 +278,24 @@ def test_word_codes_roundtrip():
     single = _word_runs([(np.array([2], dtype=np.uint8), 1)] * 3, 4)
     assert [(r.codes.tolist(), r.counts.tolist(), r.entropy) for r in single] == [
         ([2], [1], 0.0), ([10], [1], 0.0), ([42], [1], 0.0)]
+
+
+def test_word_counter_holds_no_array_of_the_walks_size_per_length():
+    # Every length's entropy and support of the cat-map walk at N = 512: the
+    # sorted codes (8 bytes a walk), the prefix array (1) and the positions
+    # of at most half the walks, where a full scan per length held 32.5.
+    size = 512
+    cfg = LatticeConfig(size)
+    snapped, _ = snap_partition(partition_quadrants(), size)
+    chunks = list(_orbit_atoms(CAT, cell_weights(snapped, cfg), 20, DEFAULT_CAPACITY))
+    tracemalloc.start()
+    try:
+        read = [(words.entropy, words.support) for words in _word_runs(chunks, 4)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert read[-1] == (math.log(cfg.points), cfg.points)
+    assert peak < 16 * cfg.points
 
 
 @pytest.mark.parametrize("alphabet", [2, 3, 4, 5])
@@ -666,6 +686,82 @@ def test_compare_audit_on_its_helper_thread_matches_a_serial_audit(monkeypatch):
     monkeypatch.setattr(entropy, "_probs_on_union", failing)
     with pytest.raises(RuntimeError, match="audit failed"):
         compare_entropy_production(CAT, part, n_max, sizes, samples, seed=11)
+    assert threading.active_count() == before
+
+
+def test_compare_audit_failure_stops_at_the_next_size(monkeypatch):
+    """A failed audit is raised at the next size boundary; later sizes are not sampled.
+
+    The first audit fails only once the second size has begun, and the
+    sampler of that size waits for it, so the failure is known at the third.
+    """
+    gate = threading.Event()
+    futures, sampled = [], []
+    sampler = entropy._classical_atom_matrix
+
+    class Helper(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    def failing(cs, ks):
+        gate.wait(timeout=10)
+        raise RuntimeError("audit failed")
+
+    def sampling(T, weights, *args):
+        sampled.append(weights.cfg.size)
+        if len(sampled) == 2:
+            gate.set()
+            concurrent.futures.wait(futures[:1], timeout=10)
+        return sampler(T, weights, *args)
+
+    monkeypatch.setattr(entropy, "ThreadPoolExecutor", Helper)
+    monkeypatch.setattr(entropy, "_fannes_audit", failing)
+    monkeypatch.setattr(entropy, "_classical_atom_matrix", sampling)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="audit failed"):
+        compare_entropy_production(CAT, partition_quadrants(), 6, (32, 64, 128), 5_000, seed=2)
+    assert sampled == [32, 64]
+    assert threading.active_count() == before
+
+
+def test_compare_error_cancels_the_queued_audits(monkeypatch):
+    """An error on the calling thread cancels the audits still queued.
+
+    The first audit holds the helper thread until the queued ones are
+    cancelled, and the sampler fails at the second size once it has begun.
+    """
+    started, gate = threading.Event(), threading.Event()
+    ran = []
+    audit, sampler = entropy._fannes_audit, entropy._classical_atom_matrix
+
+    class Helper(concurrent.futures.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            if cancel_futures:
+                super().shutdown(wait=False, cancel_futures=True)
+                gate.set()
+            super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+    def gated(cs, ks):
+        if not ran:
+            started.set()
+            gate.wait(timeout=10)
+        ran.append(cs.length)
+        return audit(cs, ks)
+
+    def failing(T, weights, *args):
+        if weights.cfg.size == 64:
+            started.wait(timeout=10)
+            raise RuntimeError("sampler failed")
+        return sampler(T, weights, *args)
+
+    monkeypatch.setattr(entropy, "ThreadPoolExecutor", Helper)
+    monkeypatch.setattr(entropy, "_fannes_audit", gated)
+    monkeypatch.setattr(entropy, "_classical_atom_matrix", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="sampler failed"):
+        compare_entropy_production(CAT, partition_quadrants(), 6, (32, 64), 5_000, seed=2)
+    assert ran == [1]
     assert threading.active_count() == before
 
 

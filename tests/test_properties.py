@@ -14,12 +14,14 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from torusdyn import entropy
 from torusdyn.cli import EXIT_VALIDATION, main, parse_partition
 from torusdyn.discretize import Observable, discretize_aw, egorov_defect, kernel_many
 from torusdyn.entropy import (
@@ -61,6 +63,7 @@ from conftest import (
     orbit_atoms_step_walk,
     orbit_period_cycle_walk,
     permutation_table_python_int,
+    word_runs_scan_per_length,
 )
 
 UNIMODULAR = [
@@ -503,6 +506,43 @@ def test_word_runs_equal_a_counter_of_word_tuples(T, d, size, length, checked):
     one_pass = cs_entropies(T, cfg, snapped, length)
     for n in sorted({length, *(min(n, length) for n in checked)}):
         assert one_pass[n - 1].hex() == cs_entropy(T, cfg, snapped, n).hex(), n
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.one_of(st.none(), matrices),
+    st.integers(1, 5),
+    st.integers(2, 40),
+    st.integers(1, 62),
+    st.integers(1, 1600),
+    st.sampled_from((1, 2, 5, 1 << 14)),
+)
+@example(cat_map(), 2, 4, 10, 16, 3)  # support of exactly half the walks from length 3 on
+@example(cat_map(), 1, 9, 62, 81, 5)  # one atom
+@example(cat_map(), 4, 8, 31, 1, 1)  # a single walk
+@example(cat_map(), 4, 2, 31, 4, 2)  # every walk distinct from length 1
+def test_word_counter_equals_a_scan_per_length(T, d, size, length, walks, block):
+    """Every yielded `_Words` of the first `walks` lattice points' orbits:
+    support, entropy, the lazily built bounds, codes and counts, against a
+    full scan of the prefix array per length.  The counter's blocks are
+    shrunk to `block` entries so that runs and continuations straddle them."""
+    try:
+        snapped, _ = snap_partition(partition_bands_x2(1) if d == 1 else ALPHABETS[d], size)
+    except ValueError:  # too coarse a lattice to resolve the partition
+        assume(False)
+    length = min(length, CEILING.get(d, 62))
+    weights = cell_weights(snapped, LatticeConfig(size))
+    chunks = [(digits[:walks], width)
+              for digits, width in _orbit_atoms(T, weights, length, DEFAULT_CAPACITY)]
+    with mock.patch.object(entropy, "_BLOCK", block):
+        counted = list(_word_runs(chunks, d))
+    scanned = list(word_runs_scan_per_length(chunks, d))
+    assert len(counted) == len(scanned) == length
+    for n, (words, want) in enumerate(zip(counted, scanned), 1):
+        assert words.support == want.support, n
+        assert words.entropy.hex() == want.entropy.hex(), n
+        for name in ("bounds", "codes", "counts"):
+            assert np.array_equal(getattr(words, name), getattr(want, name)), (n, name)
 
 
 # --- exact entropy and the dyadic classical sampler ------------------------------
