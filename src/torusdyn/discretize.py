@@ -289,6 +289,21 @@ def egorov_defect(
     return math.sqrt(total / (grid * grid))
 
 
+def _stretch(data: SpectralData, steps: int, scale: float = 1.0) -> float:
+    """scale lam**steps / sin(beta) of a hyperbolic map, inf past the float range."""
+    try:
+        return scale * math.exp(steps * data.xi) / data.sin_beta
+    except OverflowError:
+        return math.inf
+
+
+def _finite(threshold: float, given: str) -> float:
+    """The threshold, or ValueError naming what it was `given` once it passes the float range."""
+    if not math.isfinite(threshold):
+        raise ValueError(f"the family threshold for {given} passes the float range")
+    return threshold
+
+
 def localization_threshold(data: SpectralData, steps: int, d0: float) -> float:
     """Family threshold N_M(n): above it the kernel must vanish beyond d0.
 
@@ -302,12 +317,14 @@ def localization_threshold(data: SpectralData, steps: int, d0: float) -> float:
         raise ValueError(f"d0 must lie in (0, sqrt(2)/2], got {d0}")
     root2 = math.sqrt(2.0)
     if data.family is Family.HYPERBOLIC:
-        stretch = math.exp(steps * data.xi) / data.sin_beta
-        return max((1.0 + stretch) / (d0 * root2), root2 * stretch)
-    if data.family is Family.PARABOLIC:
+        stretch = _stretch(data, steps)
+        threshold = max((1.0 + stretch) / (d0 * root2), root2 * stretch)
+    elif data.family is Family.PARABOLIC:
         nj = steps * data.shear
-        return max(root2 * (nj + 1.0) / d0, root2 * (2.0 * nj + 1.0))
-    return max((data.eta + 1.0) / (d0 * root2), root2 * data.eta)
+        threshold = max(root2 * (nj + 1.0) / d0, root2 * (2.0 * nj + 1.0))
+    else:
+        threshold = max((data.eta + 1.0) / (d0 * root2), root2 * data.eta)
+    return _finite(threshold, f"steps = {steps} and d0 = {d0}")
 
 
 def shadowing_threshold(data: SpectralData, steps: int) -> float:
@@ -321,7 +338,7 @@ def shadowing_threshold(data: SpectralData, steps: int) -> float:
         raise ValueError(f"step count must be >= 0, got {steps}")
     root2 = math.sqrt(2.0)
     if data.family is Family.HYPERBOLIC:
-        return root2 * math.exp(steps * data.xi) / data.sin_beta
+        return _finite(_stretch(data, steps, root2), f"steps = {steps}")
     if data.family is Family.PARABOLIC:
         return root2 * (2.0 * steps * data.shear + 1.0)
     return root2 * data.eta
@@ -387,6 +404,7 @@ def check_dynamical_localization(
         raise ValueError(f"trials must be >= 1, got {trials}")
     _check_form_factor(gamma)
     data = classify(T)
+    threshold = localization_threshold(data, steps, d0)
     rng = np.random.default_rng(seed)
     xs = rng.random((trials, 2))
     ys = rng.random((trials, 2))
@@ -394,7 +412,6 @@ def check_dynamical_localization(
     tx1, tx2 = _step(matrix_power_mod(T, steps, _DYADIC), a1, a2, _DYADIC)
     far = torus_distance_arrays(tx1 / _DYADIC, tx2 / _DYADIC, ys[:, 0], ys[:, 1]) >= d0
     hits = kernel_many(T, cfg, steps, xs[:, 0], xs[:, 1], ys[:, 0], ys[:, 1]) == 1
-    threshold = localization_threshold(data, steps, d0)
     scaling = scaling_function(data, steps) if steps >= 1 else 0.0
     growth_bound = math.log(cfg.size) / gamma
     return LocalizationReport(

@@ -14,17 +14,17 @@ Two word packings, over an alphabet of D atoms:
 * Tables (`cs_probabilities`, `ProbabilityTable.from_counts`): a word of
   length n stores its step-k symbol at significance D**k, i.e.
   code = sum_k symbol_k * D**k.
-* The word counter (`_word_runs`): a walk of L steps stores its step-k
-  symbol at D**(L-1-k), oldest symbol most significant, so one sort of the
-  whole words orders every length at once; the length-n word is the code's
-  n-digit prefix, code // D**(L-n).  The tables it hands out (the Fannes
-  audit's) keep this packing, sum_k symbol_k * D**(n-1-k).  The lattice
-  walk (`_orbit_atoms`) hands it c steps at a time in one byte, c the
-  largest with D**c <= 256, in the same order: a chunk's digits are the
-  next c digits of the whole-walk code.
+* Walk codes (`_word_runs`), for every alphabet: a walk of L steps stores
+  its step-k symbol in a field of b = ceil(log2 D) bits at bit b*(L-1-k),
+  oldest symbol most significant, so one sort of the whole walks orders
+  every length at once.  The length-n word is the code's n-field prefix,
+  code >> b*(L-n); sorted neighbours share the fields above the highest
+  bit of their XOR.  62-bit codes hold words of up to 62 // b symbols.  The
+  lattice walk (`_orbit_atoms`) hands the counter c = min(8, 8 // b) steps
+  at a time in one byte: a chunk is the next c fields of the walk code.
 
-Either way lattice and classical tables of the same length built the same
-way are directly comparable code by code.
+Lattice and classical words of one length packed the same way are directly
+comparable code by code.
 """
 from __future__ import annotations
 
@@ -365,9 +365,11 @@ def _check_word_space(length: int, alphabet: int) -> None:
         raise ValueError(f"word length must be >= 1, got {length}")
     if alphabet < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
-    if length * math.log2(alphabet) > _CODE_BIT_LIMIT:
+    bits = (alphabet - 1).bit_length()
+    if length * bits > _CODE_BIT_LIMIT:
         raise CapacityExceededError(
-            f"word space {alphabet}**{length} exceeds 64-bit code capacity"
+            f"words of {length} symbols over {alphabet} atoms pass the {_CODE_BIT_LIMIT}-bit "
+            f"codes, which hold {_CODE_BIT_LIMIT // bits}"
         )
 
 
@@ -419,23 +421,9 @@ class ProbabilityTable:
         values = np.asarray(values, dtype=np.int64).ravel()
         if values.size == 0:
             raise ValueError("cannot build a table from zero samples")
-        space = alphabet**length
-        # A dense histogram costs O(space); past values.size sorting is cheaper.
-        if space <= values.size:
-            dense = np.bincount(values, minlength=space)
-            codes = np.flatnonzero(dense).astype(np.int64)
-            counts = dense[codes]
-        else:
-            codes, counts = np.unique(values, return_counts=True)
-        total = int(values.size)
-        return cls(
-            length=length,
-            alphabet=alphabet,
-            codes=codes,
-            probs=counts / total,
-            counts=counts.astype(np.int64),
-            total=total,
-        )
+        codes, counts = np.unique(values, return_counts=True)
+        return cls(length=length, alphabet=alphabet, codes=codes, probs=counts / values.size,
+                   counts=counts, total=values.size)
 
     @classmethod
     def from_probs(
@@ -547,14 +535,21 @@ def _classical_atom_matrix(
     table = np.pad(weights.atom_of_cell.reshape(size, size), (0, 1), mode="wrap").ravel()
     one = matrix_power_mod(T, 1, 1 << bits) if T is not None else None
     out = np.empty((length, samples), dtype=np.uint8)
+    b1, b2, cell, idx = (np.empty_like(a1) for _ in range(4))  # every step works in place
     for k in range(length):
         if k and one is None:
             out[k:] = out[0]
             break
         if k:
-            a1, a2 = _step(one, a1, a2, 1 << bits)
-        c1, c2 = ((2 * size * a + (1 << bits)) >> (bits + 1) for a in (a1, a2))
-        out[k] = table[(c1 * (size + 1) + c2).view(np.int64)]
+            _step(one, a1, a2, 1 << bits, out=(b1, b2))
+            a1, a2, b1, b2 = b1, b2, a1, a2  # the old state is the next step's buffer
+        for a, c in ((a1, idx), (a2, cell)):
+            np.multiply(a, 2 * size, out=c)
+            c += 1 << bits
+            c >>= bits + 1
+        idx *= size + 1
+        idx += cell
+        np.take(table, idx.view(np.int64), out=out[k], mode="clip")  # every index is in range
     return out
 
 
@@ -563,42 +558,27 @@ _BLOCK = 1 << 14
 
 
 def _common_prefixes(codes: np.ndarray, alphabet: int, length: int) -> np.ndarray:
-    """Leading digits each sorted code shares with the one before it.
+    """Leading symbols each sorted walk code shares with the one before it.
 
     A -1 stands before the first code and after the last one, so the runs
     of words of every length end where their successors start.
 
-    `codes` hold `length` base-`alphabet` digits.  Neighbours a < b first
-    differ at digit p (counted from the least significant), the largest m
-    with a multiple of alphabet**m in (a, b], i.e. with b mod alphabet**m <
-    b - a.  So p is at least e = floor(log(b - a)) (base alphabet), and it
-    passes e only when a multiple of alphabet**(e+1) lies in (a, b]: p is
-    then that multiple's count of trailing zero digits.  Worked in blocks,
-    so the temporaries stay small.
+    `codes` hold `length` fields of b bits, b = ceil(log2 alphabet).  When
+    the XOR x of two neighbours has bit length t, they share their leading
+    length - 1 - (t - 1) // b fields: all `length` when they are equal (t =
+    0).  After x &= ~(x >> 1) no two adjacent bits of x are set, so its
+    float cannot round up to the next power of two, and the float exponent
+    is t exactly, at any bit length up to 62.  Worked in blocks, so the
+    temporaries stay small.
     """
-    shared = np.full(codes.size + 1, length, dtype=np.min_scalar_type(-length))
-    shared[[0, -1]] = -1
-    if codes[0] == codes[-1]:  # always so with one atom, where log base 1 fails
-        return shared
-    powers = alphabet ** np.arange(length + 1, dtype=np.int64)
-    scale = 1 / math.log(alphabet)
+    shared = np.full(codes.size + 1, -1, dtype=np.min_scalar_type(-length))
+    t = np.arange(_CODE_BIT_LIMIT + 1)  # the bit length of a XOR, and the fields shared below
+    fields = (length - 1 - (t - 1) // max((alphabet - 1).bit_length(), 1)).astype(shared.dtype)
     for start in range(1, codes.size, _BLOCK):
         later = codes[start:start + _BLOCK]
-        gap = later - codes[start - 1:start - 1 + later.size]
-        moved = np.flatnonzero(gap)  # equal neighbours share every digit
-        later, gap = later[moved], gap[moved]
-        # The float estimate is e or e + 1; the power it names decides which.
-        top = (np.log(gap) * scale + 1e-9).astype(np.intp)
-        top -= powers[top] > gap
-        above, rest = np.divmod(later, powers[top + 1])
-        carried = np.flatnonzero(rest < gap)
-        top[carried] += 1
-        multiple = above[carried]  # that multiple over alphabet**(e+1)
-        while carried.size:
-            more = multiple % alphabet == 0
-            carried, multiple = carried[more], multiple[more] // alphabet
-            top[carried] += 1
-        shared[start + moved] = length - 1 - top
+        x = later ^ codes[start - 1:start - 1 + later.size]
+        x &= ~(x >> 1)
+        np.take(fields, np.frexp(x)[1], out=shared[start:start + x.size], mode="clip")
     return shared
 
 
@@ -606,13 +586,13 @@ def _common_prefixes(codes: np.ndarray, alphabet: int, length: int) -> np.ndarra
 class _Words:
     """The words of one length among a sorted array of whole-walk codes.
 
-    The length-n words are the codes' n-digit prefixes; equal words are one
+    The length-n words are the codes' n-field prefixes; equal words are one
     run of the sorted array, and a run starts wherever `shared`, the
     prefix array of `_common_prefixes`, falls below n.  The counter fills
-    in `support` and `entropy`; the run bounds, and the codes and counts
-    read off them, are built only when something reads them (the Fannes
-    audit, aligned `cs_probabilities`): the runs start at `bounds[:-1]`,
-    and `bounds[-1]` is the total.
+    in `support` and `entropy`; the run bounds, and the codes, counts and
+    probabilities read off them, are built only when something reads them
+    (the Fannes audit): the runs start at `bounds[:-1]`, and `bounds[-1]`
+    is the total.
     """
 
     length: int
@@ -621,7 +601,7 @@ class _Words:
     entropy: float
     shared: np.ndarray
     sorted_codes: np.ndarray
-    scale: int  # alphabet ** (walk length - length)
+    shift: int  # bits of the walk code past the length-n prefix
 
     @property
     def total(self) -> int:
@@ -636,22 +616,15 @@ class _Words:
         return np.diff(self.bounds)
 
     @property
-    def codes(self) -> np.ndarray:
-        """The distinct words, oldest symbol most significant, increasing."""
-        codes = self.sorted_codes[self.bounds[:-1]]
-        codes //= self.scale
-        return codes
+    def probs(self) -> np.ndarray:
+        return self.counts / self.total
 
-    def table(self) -> ProbabilityTable:
-        counts = self.counts
-        return ProbabilityTable(
-            length=self.length,
-            alphabet=self.alphabet,
-            codes=self.codes,
-            probs=counts / self.total,
-            counts=counts,
-            total=self.total,
-        )
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """The distinct words, in the walk packing, increasing."""
+        codes = self.sorted_codes[self.bounds[:-1]]
+        codes >>= self.shift
+        return codes
 
 
 def _scan(shared: np.ndarray, test, count: int) -> np.ndarray:
@@ -695,15 +668,28 @@ def _continuation_tally(cont: np.ndarray, support: int) -> dict:
     return tally
 
 
+def _walk_codes(chunks, alphabet: int) -> tuple[np.ndarray, int]:
+    """Every walk's int64 code and the walk length, from (digits, width) chunks
+    of consecutive steps, each holding every walk's `width` symbols in fields of
+    b = ceil(log2 alphabet) bits, oldest most significant, as the codes do."""
+    bits = (alphabet - 1).bit_length()
+    codes, length = None, 0
+    for digits, width in chunks:
+        if codes is None:
+            codes = digits.astype(np.int64)
+        else:
+            codes <<= bits * width
+            codes |= digits
+        length += width
+    return codes, length
+
+
 def _word_runs(chunks, alphabet: int):
     """The word counter: the words of every length of a set of walks, from one sort.
 
-    Takes the walks in chunks of consecutive steps, one (digits, width)
-    pair per chunk: `digits` holds every walk's `width` symbols of the
-    chunk as one base-`alphabet` number, oldest symbol most significant.
-    It packs each walk's L symbols into one int64 code with step k's symbol
-    at significance alphabet**(L-1-k), sorts the codes once, finds their
-    common prefixes and yields the `_Words` of lengths 1..L in turn.
+    Packs each walk's L steps, handed over in chunks, into one code
+    (`_walk_codes`), sorts the codes once, finds their common prefixes and
+    yields the `_Words` of lengths 1..L in turn.
 
     Every length's support is read off one histogram of the prefix array,
     and each length's entropy is counted from the smaller side, so no
@@ -719,15 +705,7 @@ def _word_runs(chunks, alphabet: int):
 
     Both give each length the same count-of-counts as its run bounds.
     """
-    codes = None
-    length = 0
-    for digits, width in chunks:
-        if codes is None:
-            codes = digits.astype(np.int64)
-        else:
-            codes *= alphabet**width
-            codes += digits
-        length += width
+    codes, length = _walk_codes(chunks, alphabet)
     codes.sort()
     shared = _common_prefixes(codes, alphabet, length)
     total = codes.size
@@ -754,7 +732,7 @@ def _word_runs(chunks, alphabet: int):
                 break
     for n in range(1, length + 1):
         yield _Words(n, alphabet, supports[n - 1], entropies[n - 1], shared, codes,
-                     alphabet ** (length - n))
+                     (alphabet - 1).bit_length() * (length - n))
 
 
 # ---------------------------------------------------------------------------
@@ -765,17 +743,17 @@ def _word_runs(chunks, alphabet: int):
 def _orbit_atoms(T: Optional[ToralMatrix], weights: CellWeightTable, length: int, capacity: int):
     """Atoms of every lattice point's orbit cells at steps 0..length-1 (aligned).
 
-    Yields the walk in chunks of c steps, c the largest width with D**c <=
-    256 (D atoms), as (digits, width) pairs for `_word_runs`: `digits` is a
-    uint8 array holding, for every point, the atoms of its chunk's cells
-    as one base-D number, oldest step most significant.  The step-k atom of
-    p is the step-(k-1) atom of U p, so the first chunk takes c-1 gathers
-    of the atoms on the permutation table of U, one digit each; each later
-    chunk is the previous one gathered on the table of U**c, and a last
-    chunk of r < c steps keeps the leading r digits of a full one.
+    Yields the walk in chunks of c = min(8, 8 // b) steps, b = ceil(log2 D)
+    bits a symbol for D atoms, as (digits, width) pairs for `_word_runs`:
+    `digits` is a uint8 array holding every point's atoms of its chunk's
+    cells in fields of b bits, oldest step most significant.  The step-k
+    atom of p is the step-(k-1) atom of U p, so the first chunk takes c-1
+    gathers of the atoms on the permutation table of U, one field each;
+    each later chunk is the previous one gathered on the table of U**c, and
+    a last chunk of r < c steps keeps the leading r fields of a full one.
     """
-    d = weights.atom_count
-    width = min(length, next(c for c in range(8, 0, -1) if d**c <= 256))
+    bits = (weights.atom_count - 1).bit_length()
+    width = min(length, 8 // max(bits, 1))
     cfg = weights.cfg
     forward = None
     if T is not None and width > 1:
@@ -784,8 +762,8 @@ def _orbit_atoms(T: Optional[ToralMatrix], weights: CellWeightTable, length: int
     digits = symbols.copy()
     for _ in range(1, width):
         symbols = symbols[forward] if forward is not None else symbols
-        digits *= d
-        digits += symbols
+        digits <<= bits
+        digits |= symbols
     forward = symbols = None  # freed first: the two tables are never held at once
     if T is not None and length > width:
         forward = _permutation(matrix_power_mod(T, width, cfg.size), cfg, capacity).forward
@@ -793,7 +771,7 @@ def _orbit_atoms(T: Optional[ToralMatrix], weights: CellWeightTable, length: int
         if start:
             digits = digits[forward] if forward is not None else digits
         steps = min(width, length - start)
-        yield (digits if steps == width else digits // d ** (width - steps)), steps
+        yield (digits if steps == width else digits >> bits * (width - steps)), steps
 
 
 def _checked_weights(
@@ -840,15 +818,16 @@ def cs_probabilities(
     weights = _checked_weights(cfg, partition, capacity, weights)
     d = len(partition)
     if weights.aligned:
-        *_, words = _word_runs(_orbit_atoms(T, weights, length, capacity), d)
-        # Reverse the digits into the table packing, step k at d**k.
-        rest = words.codes
-        codes = np.zeros_like(rest)
+        walks, counts = np.unique(_walk_codes(_orbit_atoms(T, weights, length, capacity), d)[0],
+                                  return_counts=True)
+        # Reverse the bit fields into the table packing, step k at d**k.
+        bits = (d - 1).bit_length()
+        codes = np.zeros_like(walks)
         for _ in range(length):
-            codes = codes * d + rest % d
-            rest = rest // d
+            codes = codes * d + (walks & (1 << bits) - 1)
+            walks >>= bits
         order = np.argsort(codes)
-        counts = words.counts[order]
+        counts = counts[order]
         return ProbabilityTable(length=length, alphabet=d, codes=codes[order],
                                 probs=counts / cfg.points, counts=counts, total=cfg.points)
     space = d**length
@@ -909,12 +888,7 @@ def cs_entropies(
     weights = _checked_weights(cfg, partition, capacity, None)
     if not weights.aligned:
         raise AlignmentRequiredError("one-pass lattice entropies need an aligned partition")
-    entropies = []
-    for words in _word_runs(_orbit_atoms(T, weights, n_max, capacity), d):
-        entropies.append(words.entropy)
-        if words.support == cfg.points:
-            break
-    return entropies + entropies[-1:] * (n_max - len(entropies))
+    return [words.entropy for words in _word_runs(_orbit_atoms(T, weights, n_max, capacity), d)]
 
 
 # ---------------------------------------------------------------------------
@@ -922,8 +896,8 @@ def cs_entropies(
 # ---------------------------------------------------------------------------
 
 
-def _probs_on_union(a: ProbabilityTable, b: ProbabilityTable) -> tuple[np.ndarray, np.ndarray]:
-    """Both tables' probabilities expanded onto their sorted union support.
+def _probs_on_union(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Both tables' (or one length's `_Words`') probabilities on their sorted union support.
 
     Both code arrays are strictly increasing, so the union positions come
     from a linear merge: a code of b sits after the codes of a below it and
@@ -953,10 +927,10 @@ def _fannes_eta(x: float) -> float:
     return -x * math.log(x)
 
 
-def _total_variation(a: ProbabilityTable, b: ProbabilityTable) -> tuple[np.ndarray, float, float]:
+def _total_variation(a, b) -> tuple[np.ndarray, float, float]:
     """(diff, delta, bound): |a - b| on the union support, its sum, and the Fannes bound.
 
-    bound = delta * log(word space) + eta(delta), with the word space of a.
+    bound = delta * n log D + eta(delta), with the word length n and alphabet D of a.
     """
     diff, pb = _probs_on_union(a, b)
     diff -= pb  # in place: on the ladder these are the audit's largest arrays
@@ -992,7 +966,7 @@ def _fannes_audit(cs: _Words, ks: _Words) -> tuple[float, float]:
     A pure function of two frozen word sets that calls no public function,
     so it can run on the comparison's helper thread.
     """
-    diff, _, bound = _total_variation(cs.table(), ks.table())
+    diff, _, bound = _total_variation(cs, ks)
     eps = float(diff.max()) if diff.size else 0.0
     return eps, bound - abs(cs.entropy - ks.entropy)
 

@@ -109,7 +109,7 @@ def cat_map() -> ToralMatrix:
     return ToralMatrix(2, 1, 1, 1)
 
 
-def _step(m, x1, x2, modulus=None):
+def _step(m, x1, x2, modulus=None, out=None):
     """(x1, x2) -> m (x1, x2) for a row-major 2x2 matrix m, reduced mod `modulus`.
 
     The one implementation of the linear step: integer lattice points mod
@@ -118,7 +118,8 @@ def _step(m, x1, x2, modulus=None):
     Python integers are exact at any size.  Integer arrays must hold values
     in [0, modulus).  Unsigned arrays with a power-of-two modulus within
     their range (and m in [0, modulus)) wrap, exactly mod 2**k, and are
-    masked; otherwise, when the largest possible row sum
+    masked, in place into `out` when given two arrays apart from x1 and x2;
+    otherwise, when the largest possible row sum
     max(|m0| + |m1|, |m2| + |m3|) * (modulus - 1) would pass the dtype's
     range the step raises OverflowError instead of wrapping silently.
     Private, so that bench/tracer.py, which times every public function as
@@ -132,7 +133,13 @@ def _step(m, x1, x2, modulus=None):
         bits = dtype.itemsize * 8
         if dtype.kind == "u" and 0 < modulus <= 1 << bits and modulus & (modulus - 1) == 0:
             mask = modulus - 1
-            return (m[0] * x1 + m[1] * x2) & mask, (m[2] * x1 + m[3] * x2) & mask
+            if out is None:
+                return (m[0] * x1 + m[1] * x2) & mask, (m[2] * x1 + m[3] * x2) & mask
+            for y, a, b in zip(out, m[::2], m[1::2]):
+                np.multiply(x1, a, out=y)
+                y += b * x2
+                y &= mask
+            return out
         reach = max(abs(m[0]) + abs(m[1]), abs(m[2]) + abs(m[3])) * (modulus - 1)
         if dtype.kind in "iu" and reach > np.iinfo(dtype).max:
             raise OverflowError(

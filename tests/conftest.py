@@ -254,14 +254,15 @@ def word_runs_scan_per_length(chunks, alphabet: int):
     """Each length's support, entropy, run bounds, codes and counts, one scan each.
 
     Packs the (digits, width) chunks into whole-walk codes with Python
-    integers, sorts them and, for every length n, takes the run bounds
-    `np.flatnonzero(shared < n)` over the whole prefix array and the counts
-    between them.
+    integers, b = ceil(log2 alphabet) bits a symbol, sorts them and, for
+    every length n, takes the run bounds `np.flatnonzero(shared < n)` over
+    the whole prefix array and the counts between them.
     """
+    bits = (alphabet - 1).bit_length()
     walks = [0] * chunks[0][0].size
     length = 0
     for digits, width in chunks:
-        walks = [w * alphabet**width + int(x) for w, x in zip(walks, digits.tolist())]
+        walks = [w << bits * width | int(x) for w, x in zip(walks, digits.tolist())]
         length += width
     codes = np.array(sorted(walks), dtype=np.int64)
     shared = _common_prefixes(codes, alphabet, length)
@@ -272,7 +273,7 @@ def word_runs_scan_per_length(chunks, alphabet: int):
             support=counts.size,
             entropy=_entropy_of_counts(_tally({}, counts), codes.size),
             bounds=bounds,
-            codes=codes[bounds[:-1]] // alphabet ** (length - n),
+            codes=codes[bounds[:-1]] >> bits * (length - n),
             counts=counts,
         )
 

@@ -315,6 +315,24 @@ def test_capacity_reaches_the_lattice_walk(capacity, expected, tmp_path):
     assert code == expected
 
 
+@pytest.mark.parametrize("n_max, expected", [(31, EXIT_OK), (32, EXIT_CAPACITY)])
+def test_word_length_budget_of_three_bands(n_max, expected, capsys, tmp_path):
+    # Three atoms take 2 bits a symbol, so the 62-bit walk codes hold 31 symbols.
+    out = tmp_path / "x.csv"
+    code = run([
+        "entropy", "--matrix", "2", "1", "1", "1", "--partition", "bands-x2:3",
+        "--sizes", "16", "--n-max", str(n_max), "--samples", "1000", "--seed", "1",
+        "--output", str(out),
+    ])
+    assert code == expected
+    err = capsys.readouterr().err.strip()
+    if expected == EXIT_OK:
+        assert err == "" and out.exists()
+    else:
+        assert err.startswith("CapacityExceededError: ") and "32 symbols" in err
+        assert len(err.splitlines()) == 1 and not out.exists()
+
+
 def test_egorov_bad_observable(tmp_path):
     code = run([
         "egorov", "--matrix", "2", "1", "1", "1", "--sizes", "32", "--steps-max", "1",
@@ -397,6 +415,26 @@ def test_float_overflow_is_validation_error(argv, capsys):
     assert err.startswith("OverflowError: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("matrix, check, steps, d0", [
+    ("2 1 1 1", "localization", "100000", "0.1"),
+    ("2 1 1 1", "shadowing", "100000", "0.1"),
+    # lambda**736 is a float, but the localization threshold, about
+    # lambda**736 / (d0 sin(beta)), is not; it used to be written as Infinity.
+    ("2 1 1 1", "localization", "736", "0.1"),
+    # so was the shear's threshold, about 1 / d0, with a subnormal d0
+    ("1 1 0 1", "localization", "3", "1e-310"),
+])
+def test_localize_threshold_past_the_float_range_names_the_steps(matrix, check, steps, d0, capsys):
+    argv = ["localize", "--matrix", *matrix.split(), "--size", "16", "--steps", steps,
+            "--seed", "1", "--check", check, "--d0", d0]
+    assert run(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("ValueError: ") and f"steps = {steps}" in err
+    assert len(err.splitlines()) == 1
 
 
 # --- form factor and float options -----------------------------------------------------

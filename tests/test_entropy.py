@@ -300,21 +300,32 @@ def test_word_counter_holds_no_array_of_the_walks_size_per_length():
 
 @pytest.mark.parametrize("alphabet", [2, 3, 4, 5])
 def test_common_prefixes_at_powers_of_the_alphabet(alphabet):
-    # Gaps of exactly alphabet**k and one either side, up to the 62-bit
-    # ceiling, where the float estimate of the leading digit is closest to
-    # wrong; against Python-integer prefixes.
-    length = math.floor(62 / math.log2(alphabet))
-    top = alphabet**length - 1
-    for k in range(length):
-        for gap in (alphabet**k - 1, alphabet**k, alphabet**k + 1):
-            # the last low carries into digit k + 1 when gap = alphabet**k + 1
-            for low in (0, (top - gap) // 3, top - gap, alphabet ** (k + 1) - 1):
-                if gap == 0 or low + gap > top:
-                    continue
-                shared = _common_prefixes(np.array([low, low + gap]), alphabet, length)
-                want = max(n for n in range(length + 1)
-                           if low // alphabet ** (length - n) == (low + gap) // alphabet ** (length - n))
-                assert shared.tolist() == [-1, want, -1], (k, gap, low)
+    # Walk codes hold fields of b = ceil(log2 alphabet) bits, up to 62 bits.
+    # Gaps of 2**k and one either side; neighbours whose XOR is a tail of
+    # ones between 2**53 and 2**62, whose float rounds up to the next power
+    # of two; and equal neighbours, which share every field.  Against
+    # Python-integer prefixes.
+    b = (alphabet - 1).bit_length()
+    length = 62 // b
+    top = (1 << (b * length)) - 1
+    pairs = []
+    for k in range(b * length + 1):
+        for gap in ((1 << k) - 1, 1 << k, (1 << k) + 1):
+            # the last low carries into bit k + 1 when gap = 2**k + 1
+            for low in (0, (top - gap) // 3, top - gap, (1 << (k + 1)) - 1):
+                if 0 < gap and 0 <= low and low + gap <= top:
+                    pairs.append((low, low + gap))
+    for t in range(53, b * length + 1):
+        tail = (1 << t) - 1  # the XOR of each pair below
+        carry = tail >> 1  # one more carries into bit t - 1
+        above = top & ~tail  # every field bit above the tail set
+        pairs += [(0, tail), (carry, carry + 1), (above | carry, (above | carry) + 1)]
+        assert all(low ^ high == tail for low, high in pairs[-3:])
+    for low, high in pairs:
+        shared = _common_prefixes(np.array([low, low, high]), alphabet, length)
+        want = max(n for n in range(length + 1)
+                   if low >> b * (length - n) == high >> b * (length - n))
+        assert shared.tolist() == [-1, length, want, -1], (low, high)
 
 
 def test_word_space_guard():
@@ -672,9 +683,12 @@ def test_compare_audit_on_its_helper_thread_matches_a_serial_audit(monkeypatch):
         lattice = _word_runs(_orbit_atoms(CAT, weights, n_max, DEFAULT_CAPACITY), 4)
         classical = _word_runs(((symbols, 1) for symbols in atoms), 4)
         for k, (cs, ks) in enumerate(zip(lattice, classical)):
-            pa, pb = _probs_on_union(cs.table(), ks.table())
+            # With 4 atoms the walk packing is the base-4 one, so codes stay in 4**n.
+            a, b = (ProbabilityTable(length=w.length, alphabet=4, codes=w.codes, probs=w.probs,
+                                     counts=w.counts, total=w.total) for w in (cs, ks))
+            pa, pb = _probs_on_union(a, b)
             assert cmp.eps_hat[i, k] == np.abs(pa - pb).max(), (size, k + 1)
-            _, bound = fannes_bound(cs.table(), ks.table())
+            _, bound = fannes_bound(a, b)
             margins.append(bound - abs(cs.entropy - ks.entropy))
     assert cmp.fannes_checked == len(margins) == len(sizes) * n_max
     assert cmp.fannes_violations == 0

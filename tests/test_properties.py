@@ -11,7 +11,6 @@ and the CLI, and the unsigned power-of-two step against Python integers.
 """
 import functools
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -275,19 +274,20 @@ SEAM_WRAPPING = parse_partition(
 
 
 def chunk_steps(chunks, alphabet: int) -> list[np.ndarray]:
-    """Per-step symbols of `_orbit_atoms`' chunks: each chunk's base-alphabet
-    digits, most significant first."""
+    """Per-step symbols of `_orbit_atoms`' chunks: each chunk's fields of
+    b = ceil(log2 alphabet) bits, most significant first."""
+    bits = (alphabet - 1).bit_length()
     steps = []
     for digits, width in chunks:
         assert digits.dtype == np.uint8
-        steps += [digits // alphabet ** (width - 1 - k) % alphabet for k in range(width)]
+        steps += [digits >> bits * (width - 1 - k) & (1 << bits) - 1 for k in range(width)]
     return steps
 
 
 # In the examples below T**c, c the chunk width, is the lattice identity for
 # (1, 0, 2, 1) at N = 2 (T = I mod 2), and plus or minus the identity for the
-# elliptic maps: c = 4 for quadrants and 8 for halves (ROT, order 4); c = 3
-# for five bands ((1, 1, -1, 0), order 6: -I; (0, -1, 1, -1), order 3: I).
+# elliptic maps: c = 4 for quadrants and three bands and 8 for halves (ROT,
+# order 4: ROT**4 = I); c = 2 for five bands (ROT**2 = -I).
 ROT = ToralMatrix(0, -1, 1, 0)
 
 
@@ -308,8 +308,8 @@ ROT = ToralMatrix(0, -1, 1, 0)
 )
 @example(ROT, 12, partition_quadrants(), 13)
 @example(ROT, 7, partition_halves_x2(), 20)
-@example(ToralMatrix(1, 1, -1, 0), 15, partition_bands_x2(5), 11)
-@example(ToralMatrix(0, -1, 1, -1), 15, partition_bands_x2(5), 9)
+@example(ROT, 9, partition_bands_x2(3), 11)
+@example(ROT, 15, partition_bands_x2(5), 11)
 @example(ToralMatrix(1, 0, 2, 1), 2, partition_halves_x1(), 17)
 @example(None, 20, partition_bands_x2(5), 7)
 @example(cat_map(), 34, partition_bands_x2(17), 5)  # c = 1: one step per chunk
@@ -322,8 +322,8 @@ def test_orbit_atoms_gather_equals_step_walk(T, size, partition, length):
     weights = cell_weights(snapped, LatticeConfig(size))
     d = len(partition)
     chunks = list(_orbit_atoms(T, weights, length, DEFAULT_CAPACITY))
-    # Chunks of c steps, c the largest width with d**c <= 256, and a shorter last one.
-    c = min(length, {1: 8, 2: 8, 3: 5, 4: 4, 5: 3, 17: 1}[d])
+    # Chunks of c steps, c = min(8, 8 // ceil(log2 d)), and a shorter last one.
+    c = min(length, {1: 8, 2: 8, 3: 4, 4: 4, 5: 2, 17: 1}[d])
     widths = [width for _, width in chunks]
     assert widths == [c] * (length // c) + ([length % c] if length % c else [])
     got = chunk_steps(chunks, d)
@@ -459,14 +459,15 @@ def test_one_pass_entropies_equal_per_length_cs_entropy(T, size, partition, n_ma
     assert np.array(one_pass).tobytes() == np.array(per_length).tobytes()
 
 
-# One preset per alphabet size, and the longest word its 62-bit codes hold.
+# One preset per alphabet size, and the longest word its 62-bit codes hold,
+# ceil(log2 d) bits a symbol.
 ALPHABETS = {
     2: partition_halves_x2(),
     3: partition_bands_x2(3),
     4: partition_quadrants(),
     5: partition_bands_x2(5),
 }
-CEILING = {d: math.floor(62 / math.log2(d)) for d in ALPHABETS}
+CEILING = {d: 62 // (d - 1).bit_length() for d in ALPHABETS}
 
 
 @settings(deadline=None, max_examples=60)
@@ -500,7 +501,8 @@ def test_word_runs_equal_a_counter_of_word_tuples(T, d, size, length, checked):
     assert [words.length for words in runs] == list(range(1, length + 1))
     for n, words in enumerate(runs, 1):
         tally = Counter(walk[:n] for walk in walks)
-        want = sorted((int("".join(map(str, word)), d), count)
+        bits = (d - 1).bit_length()
+        want = sorted((sum(s << bits * (n - 1 - k) for k, s in enumerate(word)), count)
                       for word, count in tally.items())
         assert list(zip(words.codes.tolist(), words.counts.tolist())) == want, n
     one_pass = cs_entropies(T, cfg, snapped, length)
