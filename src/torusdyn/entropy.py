@@ -38,8 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .lattice import (
-    DEFAULT_CAPACITY, CapacityExceededError, LatticeConfig, build_permutation, matrix_power_mod,
-    _index_dtype, _permutation,
+    DEFAULT_CAPACITY, CapacityExceededError, LatticeConfig, matrix_power_mod, _index_dtype,
+    _permutation,
 )
 from .maps import Family, ToralMatrix, classify, _step
 from .rectangles import TorusRectangle, _axis_weights, _check_disjoint
@@ -501,6 +501,21 @@ def shannon_entropy(table: ProbabilityTable) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _dyadic_bits(T: Optional[ToralMatrix], xi: float, size: int, length: int) -> int:
+    """Bits of the classical sampler's dyadic numerators at lattice side `size`.
+
+    bits = min(53, 64 - bit_length(2N)) keeps 2N a + 2**bits below 2**64.
+    Being the lattice orbit at side 2**bits, a sampled orbit stops imitating
+    a hyperbolic T, of exponent xi, near n = 2 bits log 2 / xi (72.0 steps of
+    the cat map at 50 bits): longer words raise ValueError.
+    """
+    bits = min(53, 64 - (2 * size).bit_length())
+    if xi and length >= 2 * bits * math.log(2) / xi:
+        raise ValueError(f"word length {length} reaches the {2 * bits * math.log(2) / xi:.1f}-"
+                         f"step horizon of {bits}-bit dyadic orbits of {T}")
+    return bits
+
+
 def _classical_atom_matrix(
     T: Optional[ToralMatrix],
     weights: CellWeightTable,
@@ -514,20 +529,13 @@ def _classical_atom_matrix(
     2**-53) as uint64 numerators a, so T x = (T a mod 2**bits) / 2**bits
     (Percival and Vivaldi, Physica D 25, 1987) is `_step` mod 2**bits.  With
     the aligned `weights` of a partition snapped to N x N, x lies in the atom
-    of cell ((2N a + 2**bits) >> (bits + 1)) mod N, where bits = min(53, 64 -
-    bit_length(2N)) keeps 2N a + 2**bits below 2**64.  Being the lattice
-    orbit at side 2**bits, it stops imitating a hyperbolic T near n = 2 bits
-    log 2 / xi (72.0 steps of the cat map at 50 bits): longer words raise
-    ValueError.
+    of cell ((2N a + 2**bits) >> (bits + 1)) mod N (`_dyadic_bits` gives
+    bits, and refuses words past the dyadic horizon).
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     size = weights.cfg.size
-    bits = min(53, 64 - (2 * size).bit_length())
-    xi = classify(T).xi if T is not None else 0.0
-    if xi and length >= 2 * bits * math.log(2) / xi:
-        raise ValueError(f"word length {length} reaches the {2 * bits * math.log(2) / xi:.1f}-"
-                         f"step horizon of {bits}-bit dyadic orbits of {T}")
+    bits = _dyadic_bits(T, classify(T).xi if T is not None else 0.0, size, length)
     rng = np.random.default_rng(seed)
     a1 = (rng.random(samples) * 2.0**53).astype(np.uint64) >> (53 - bits)
     a2 = (rng.random(samples) * 2.0**53).astype(np.uint64) >> (53 - bits)
@@ -589,10 +597,9 @@ class _Words:
     The length-n words are the codes' n-field prefixes; equal words are one
     run of the sorted array, and a run starts wherever `shared`, the
     prefix array of `_common_prefixes`, falls below n.  The counter fills
-    in `support` and `entropy`; the run bounds, and the codes, counts and
-    probabilities read off them, are built only when something reads them
-    (the Fannes audit): the runs start at `bounds[:-1]`, and `bounds[-1]`
-    is the total.
+    in `support` and `entropy`; the run bounds, and the codes and counts
+    read off them, are built only when something reads them (the Fannes
+    audit): the runs start at `bounds[:-1]`, and `bounds[-1]` is the total.
     """
 
     length: int
@@ -614,10 +621,6 @@ class _Words:
     @property
     def counts(self) -> np.ndarray:
         return np.diff(self.bounds)
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.counts / self.total
 
     @cached_property
     def codes(self) -> np.ndarray:
@@ -743,35 +746,42 @@ def _word_runs(chunks, alphabet: int):
 def _orbit_atoms(T: Optional[ToralMatrix], weights: CellWeightTable, length: int, capacity: int):
     """Atoms of every lattice point's orbit cells at steps 0..length-1 (aligned).
 
-    Yields the walk in chunks of c = min(8, 8 // b) steps, b = ceil(log2 D)
-    bits a symbol for D atoms, as (digits, width) pairs for `_word_runs`:
-    `digits` is a uint8 array holding every point's atoms of its chunk's
-    cells in fields of b bits, oldest step most significant.  The step-k
-    atom of p is the step-(k-1) atom of U p, so the first chunk takes c-1
-    gathers of the atoms on the permutation table of U, one field each;
-    each later chunk is the previous one gathered on the table of U**c, and
-    a last chunk of r < c steps keeps the leading r fields of a full one.
+    Returns an iterator over the walk in chunks of c = min(8, 8 // b) steps,
+    b = ceil(log2 D) bits a symbol for D atoms, as (digits, width) pairs for
+    `_word_runs`: `digits` is a uint8 array holding every point's atoms of
+    its chunk's cells in fields of b bits, oldest step most significant.
+    The step-k atom of p is the step-(k-1) atom of U p, so the first chunk
+    takes c-1 gathers of the atoms on the permutation table of U, one field
+    each; each later chunk is the previous one gathered on the table of
+    U**c, and a last chunk of r < c steps keeps the leading r fields of a
+    full one.  The powers of T mod N are taken in this call; the tables are
+    built and gathered as the chunks are drawn, which calls no public
+    function, so the walk can run on another thread.
     """
     bits = (weights.atom_count - 1).bit_length()
     width = min(length, 8 // max(bits, 1))
     cfg = weights.cfg
-    forward = None
-    if T is not None and width > 1:
-        forward = build_permutation(T, cfg, capacity).forward
-    symbols = weights.atom_of_cell
-    digits = symbols.copy()
-    for _ in range(1, width):
-        symbols = symbols[forward] if forward is not None else symbols
-        digits <<= bits
-        digits |= symbols
-    forward = symbols = None  # freed first: the two tables are never held at once
-    if T is not None and length > width:
-        forward = _permutation(matrix_power_mod(T, width, cfg.size), cfg, capacity).forward
-    for start in range(0, length, width):
-        if start:
-            digits = digits[forward] if forward is not None else digits
-        steps = min(width, length - start)
-        yield (digits if steps == width else digits >> bits * (width - steps)), steps
+    one = matrix_power_mod(T, 1, cfg.size) if T is not None and width > 1 else None
+    leap = matrix_power_mod(T, width, cfg.size) if T is not None and length > width else None
+
+    def chunks():
+        forward = _permutation(one, cfg, capacity).forward if one is not None else None
+        symbols = weights.atom_of_cell
+        digits = symbols.copy()
+        for _ in range(1, width):
+            symbols = symbols[forward] if forward is not None else symbols
+            digits <<= bits
+            digits |= symbols
+        forward = symbols = None  # freed first: the two tables are never held at once
+        if leap is not None:
+            forward = _permutation(leap, cfg, capacity).forward
+        for start in range(0, length, width):
+            if start:
+                digits = digits[forward] if forward is not None else digits
+            steps = min(width, length - start)
+            yield (digits if steps == width else digits >> bits * (width - steps)), steps
+
+    return chunks()
 
 
 def _checked_weights(
@@ -896,23 +906,28 @@ def cs_entropies(
 # ---------------------------------------------------------------------------
 
 
-def _probs_on_union(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Both tables' (or one length's `_Words`') probabilities on their sorted union support.
+def _union_slots(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where two strictly increasing code arrays land in their sorted union.
 
-    Both code arrays are strictly increasing, so the union positions come
-    from a linear merge: a code of b sits after the codes of a below it and
-    the b-only codes before it; the codes of a fill, in order, every slot
-    that no b-only code takes.
+    Returns a bool mask over the union, true at the codes of a, and the
+    union position of each code of b.  A linear merge: a code of b sits
+    after the codes of a below it and the b-only codes before it; the codes
+    of a fill, in order, every slot that no b-only code takes.
     """
-    below = np.searchsorted(a.codes, b.codes)
-    shared = a.codes[np.minimum(below, a.codes.size - 1)] == b.codes
+    below = np.searchsorted(a, b)
+    shared = a[np.minimum(below, a.size - 1)] == b
     b_only = ~shared
     b_pos = below + np.cumsum(b_only) - b_only
-    union_size = a.codes.size + b.codes.size - int(shared.sum())
-    a_slot = np.ones(union_size, dtype=bool)
+    a_slot = np.ones(a.size + b.size - int(shared.sum()), dtype=bool)
     a_slot[b_pos[b_only]] = False
-    pa = np.zeros(union_size)
-    pb = np.zeros(union_size)
+    return a_slot, b_pos
+
+
+def _probs_on_union(a: ProbabilityTable, b: ProbabilityTable) -> tuple[np.ndarray, np.ndarray]:
+    """Both tables' probabilities on their sorted union support."""
+    a_slot, b_pos = _union_slots(a.codes, b.codes)
+    pa = np.zeros(a_slot.size)
+    pb = np.zeros(a_slot.size)
     pa[a_slot] = a.probs
     pb[b_pos] = b.probs
     return pa, pb
@@ -927,16 +942,14 @@ def _fannes_eta(x: float) -> float:
     return -x * math.log(x)
 
 
-def _total_variation(a, b) -> tuple[np.ndarray, float, float]:
-    """(diff, delta, bound): |a - b| on the union support, its sum, and the Fannes bound.
+def _continuity_bound(diff: np.ndarray, length: int, alphabet: int) -> tuple[float, float]:
+    """(delta, bound) of the differences |a - b| of two word distributions.
 
-    bound = delta * n log D + eta(delta), with the word length n and alphabet D of a.
+    delta is their sum, and bound = delta * n log D + eta(delta) for words of
+    length n over D atoms.
     """
-    diff, pb = _probs_on_union(a, b)
-    diff -= pb  # in place: on the ladder these are the audit's largest arrays
-    np.abs(diff, out=diff)
     delta = float(diff.sum())
-    return diff, delta, delta * a.length * math.log(a.alphabet) + _fannes_eta(delta)
+    return delta, delta * length * math.log(alphabet) + _fannes_eta(delta)
 
 
 def fannes_bound(a: ProbabilityTable, b: ProbabilityTable) -> tuple[float, float]:
@@ -951,7 +964,9 @@ def fannes_bound(a: ProbabilityTable, b: ProbabilityTable) -> tuple[float, float
             f"tables describe different word spaces: "
             f"({a.alphabet}**{a.length}) vs ({b.alphabet}**{b.length})"
         )
-    _, delta, bound = _total_variation(a, b)
+    diff, pb = _probs_on_union(a, b)
+    diff -= pb
+    delta, bound = _continuity_bound(np.abs(diff, out=diff), a.length, a.alphabet)
     gap = abs(shannon_entropy(a) - shannon_entropy(b))
     if gap > bound + 1e-9:
         raise AssertionError(
@@ -960,15 +975,40 @@ def fannes_bound(a: ProbabilityTable, b: ProbabilityTable) -> tuple[float, float
     return delta, bound
 
 
-def _fannes_audit(cs: _Words, ks: _Words) -> tuple[float, float]:
-    """eps_hat and the Fannes margin (bound less entropy gap) of one length's words.
+def _fannes_audit(cs: Sequence[_Words], ks: Sequence[_Words]) -> list[tuple[float, float]]:
+    """eps_hat and the Fannes margin (bound less entropy gap) of lengths 1..m.
 
-    A pure function of two frozen word sets that calls no public function,
-    so it can run on the comparison's helper thread.
+    `cs` and `ks` are the lattice and the classical words of lengths 1..m.
+    Both sides' length-m words are merged once, each carrying its counts,
+    and `_common_prefixes` over the union gives the run bounds of every
+    shorter length, filtered down as in `_word_runs`.  A length's counts
+    are differences of the prefix sums of the length-m counts at its
+    bounds, so its array |c_cs/N**2 - c_ks/S| holds, in order, the floats
+    that a merge of that length's own words gives.
     """
-    diff, _, bound = _total_variation(cs, ks)
-    eps = float(diff.max()) if diff.size else 0.0
-    return eps, bound - abs(cs.entropy - ks.entropy)
+    m = len(cs)
+    top_cs, top_ks = cs[-1], ks[-1]
+    a_slot, b_pos = _union_slots(top_cs.codes, top_ks.codes)
+    codes = np.empty(a_slot.size, dtype=np.int64)
+    codes[a_slot] = top_cs.codes
+    codes[b_pos] = top_ks.codes
+    sums = []  # each side's counts summed over the union words before each position
+    for words, slots in ((top_cs, a_slot), (top_ks, b_pos)):
+        cum = np.zeros(a_slot.size + 1, dtype=np.int64)
+        cum[1:][slots] = words.counts
+        sums.append(np.cumsum(cum, out=cum))
+    shared = _common_prefixes(codes, top_cs.alphabet, m)
+    bounds = np.arange(codes.size + 1)  # the union's length-m words are distinct
+    audits = []
+    for n in range(m, 0, -1):
+        if n < m:
+            bounds = bounds[shared[bounds] < n]
+        diff = np.diff(sums[0][bounds]) / top_cs.total
+        diff -= np.diff(sums[1][bounds]) / top_ks.total
+        np.abs(diff, out=diff)
+        _, bound = _continuity_bound(diff, n, top_cs.alphabet)
+        audits.append((float(diff.max()), bound - abs(cs[n - 1].entropy - ks[n - 1].entropy)))
+    return audits[::-1]
 
 
 @dataclass(frozen=True)
@@ -1062,15 +1102,19 @@ def compare_entropy_production(
     `diff_support_cap` also gets a pointwise sup-difference (`eps_hat`) and
     a total-variation entropy continuity check; larger pairs record NaN
     and are skipped (the entropy and breaking outputs never depend on
-    these diagnostics).  These audits run on one helper thread, each as
-    soon as both sides' words of its length exist, while this thread walks
-    and samples on; the results are read back in order, so they are
-    bit-identical to a serial audit, and the thread ends with the call.
-    An audit that raises stops the call at the next size, and any error
-    cancels the audits still queued.
-    Once the lattice words separate all N**2 >= `diff_support_cap` points,
-    so that no longer length is audited, lattice counting stops: longer
-    words refine them, so S_cs stays at that log N**2.
+    these diagnostics).  The audited lengths of a size are audited
+    together, from one merge of both sides' longest audited words.
+
+    Every size is snapped, weighted and checked against the sampler's
+    dyadic horizon before any lattice walk starts.  Then each size's
+    lattice side (permutation tables, walk and word counter) is queued as
+    one task on a helper thread, while this thread samples and counts each
+    size's classical words in turn, takes that size's lattice words and
+    audits them.  The helper calls no public function, and each size's
+    outputs are computed from the same words as in a serial run, so they
+    are bit-identical to one.  A lattice task that raises stops the call
+    at its size, any error cancels the tasks not yet started, and the
+    thread ends with the call.
     """
     _check_word_space(n_max, len(partition))
     sizes = tuple(int(s) for s in sizes)
@@ -1090,35 +1134,30 @@ def compare_entropy_production(
     s_ks = np.zeros((n_sizes, n_max + 1))
     eps_hat = np.zeros((n_sizes, n_max))
     snap_shifts = []
+    ladder = []  # each size's weights, all checked before any walk starts
+    for size in sizes:
+        cfg = LatticeConfig(size)
+        snapped, shift = snap_partition(partition, size)
+        snap_shifts.append(shift)
+        ladder.append(_checked_weights(cfg, snapped, capacity, None))
+        _dyadic_bits(T, rate, size, n_max)
     breaking: list[Optional[int]] = []
+    margins = []
     children = np.random.SeedSequence(seed).spawn(n_sizes)
-    audits = []  # (size index, length index, future), in submission order
     helper = ThreadPoolExecutor(max_workers=1)
     try:
-        for i, size in enumerate(sizes):
-            for *_, audit in audits:  # a failed audit stops the call here
-                if audit.done():
-                    audit.result()
-            cfg = LatticeConfig(size)
-            snapped, shift = snap_partition(partition, size)
-            snap_shifts.append(shift)
-            weights = _checked_weights(cfg, snapped, capacity, None)
+        lattice = [helper.submit(list, _word_runs(_orbit_atoms(T, weights, n_max, capacity), d))
+                   for weights in ladder]
+        for i, weights in enumerate(ladder):
             atoms_mc = _classical_atom_matrix(T, weights, n_max, samples, children[i])
-            lattice = _word_runs(_orbit_atoms(T, weights, n_max, capacity), d)
+            ks_words = list(_word_runs(((symbols, 1) for symbols in atoms_mc), d))
+            del atoms_mc
+            cs_words = lattice[i].result()
+            lattice[i] = None  # a future keeps its result: free each walk once read
             brk: Optional[int] = None
-            for n, ks in enumerate(_word_runs(((symbols, 1) for symbols in atoms_mc), d), 1):
-                k = n - 1
-                if lattice is not None:
-                    cs = next(lattice)
-                    s_cs[i, n:] = cs.entropy  # holds until a longer length
-                    if cs.support == cfg.points >= diff_support_cap:
-                        lattice.close()
-                        lattice = None
+            for n, (cs, ks) in enumerate(zip(cs_words, ks_words), 1):
+                s_cs[i, n] = cs.entropy
                 s_ks[i, n] = ks.entropy
-                if cs.support + ks.support <= diff_support_cap:
-                    audits.append((i, k, helper.submit(_fannes_audit, cs, ks)))
-                else:
-                    eps_hat[i, k] = math.nan
                 if brk is None:
                     if hyperbolic:
                         if n >= 2 and s_cs[i, n] - s_cs[i, n - 1] < break_increment_fraction * rate:
@@ -1126,12 +1165,16 @@ def compare_entropy_production(
                     elif abs(s_ks[i, n] - s_cs[i, n]) > abs_gap_threshold:
                         brk = n
             breaking.append(brk)
-        margins = []
-        for i, k, audit in audits:
-            eps_hat[i, k], margin = audit.result()
-            margins.append(margin)
+            # Supports grow with the length, so the audited lengths are 1..m.
+            m = sum(cs.support + ks.support <= diff_support_cap
+                    for cs, ks in zip(cs_words, ks_words))
+            eps_hat[i, m:] = math.nan
+            if m:
+                for k, (eps, margin) in enumerate(_fannes_audit(cs_words[:m], ks_words[:m])):
+                    eps_hat[i, k] = eps
+                    margins.append(margin)
     finally:
-        helper.shutdown(cancel_futures=True)  # an error leaves queued audits unstarted
+        helper.shutdown(cancel_futures=True)  # an error leaves queued walks unstarted
     cs_inc = s_cs[:, 1:] - s_cs[:, :-1]
     ks_inc = s_ks[:, 1:] - s_ks[:, :-1]
     valid = [(math.log(sz), b) for sz, b in zip(sizes, breaking) if b is not None]

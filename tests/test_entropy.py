@@ -1,5 +1,8 @@
 """Word distributions and entropy production, lattice vs continuous."""
 import concurrent.futures
+import functools
+import importlib
+import inspect
 import math
 import threading
 import tracemalloc
@@ -614,29 +617,17 @@ def test_compare_hyperbolic_ladder():
     assert len(d["s_cs"]) == 3 and len(d["s_cs"][0]) == 13
 
 
-def test_compare_stops_the_lattice_walk_at_separation(monkeypatch):
+def test_compare_stops_the_lattice_walk_at_separation():
     """Past the length whose words separate every lattice point nothing changes.
 
-    With N**2 at or above the audit cap, lattice counting stops there: S_cs
-    repeats log N**2, the classical side and the breaking outputs are
-    untouched, and the lattice counter yields no later length (7 and 9
-    lengths instead of 14).
+    With N**2 at or above the audit cap, S_cs repeats log N**2 from the
+    separating length on (7 at N = 32, 9 at N = 64), no longer length is
+    audited, and the classical side and the breaking outputs are untouched.
     """
     part = partition_quadrants()
     sizes = (32, 64)
     default = compare_entropy_production(CAT, part, 14, sizes, 50_000, seed=3)
-    yielded = Counter()
-
-    def counting(symbol_steps, alphabet):
-        for words in word_runs(symbol_steps, alphabet):
-            yielded[words.total] += 1
-            yield words
-
-    word_runs = entropy._word_runs
-    monkeypatch.setattr(entropy, "_word_runs", counting)
     capped = compare_entropy_production(CAT, part, 14, sizes, 50_000, seed=3, diff_support_cap=1024)
-    monkeypatch.undo()
-    assert yielded == {32**2: 7, 64**2: 9, 50_000: 2 * 14}
     assert capped.s_ks.tobytes() == default.s_ks.tobytes()
     assert capped.breaking == default.breaking and capped.slope == default.slope
     assert capped.fannes_violations == 0
@@ -661,20 +652,25 @@ def test_compare_stops_the_lattice_walk_at_separation(monkeypatch):
 
 
 def test_compare_audit_on_its_helper_thread_matches_a_serial_audit(monkeypatch):
-    """The continuity audit runs beside the walk and gives the serial results.
+    """The folded continuity audit gives the serial per-length results.
 
-    Every length is audited at these sizes, so `eps_hat` and the Fannes
-    margins are recomputed here length by length from the same word sets.
-    An audit's exception reaches the caller, and either way the helper
-    thread is gone when the call ends.
+    Each size's audited lengths are audited from one merge of both sides'
+    longest audited words; `eps_hat` and the Fannes margins are recomputed
+    here length by length from the same word sets.  With the cap at 50 000
+    combined words N = 32 audits all 12 lengths, N = 64 the first 11 and
+    N = 128 the first 9; the default cap audits every length, with the same
+    results.  An audit's exception reaches the caller, and either way the
+    helper thread is gone when the call ends.
     """
     part = partition_quadrants()
-    sizes, n_max, samples = (32, 64, 128), 12, 50_000
+    sizes, n_max, samples, cap = (32, 64, 128), 12, 50_000, 50_000
     before = threading.active_count()
-    cmp = compare_entropy_production(CAT, part, n_max, sizes, samples, seed=11)
+    cmp = compare_entropy_production(CAT, part, n_max, sizes, samples, seed=11,
+                                     diff_support_cap=cap)
+    every = compare_entropy_production(CAT, part, n_max, sizes, samples, seed=11)
     assert threading.active_count() == before
     children = np.random.SeedSequence(11).spawn(len(sizes))
-    margins = []
+    margins, audited = [], []
     for i, size in enumerate(sizes):
         cfg = LatticeConfig(size)
         snapped, _ = snap_partition(part, size)
@@ -682,72 +678,94 @@ def test_compare_audit_on_its_helper_thread_matches_a_serial_audit(monkeypatch):
         atoms = _classical_atom_matrix(CAT, weights, n_max, samples, children[i])
         lattice = _word_runs(_orbit_atoms(CAT, weights, n_max, DEFAULT_CAPACITY), 4)
         classical = _word_runs(((symbols, 1) for symbols in atoms), 4)
+        audited.append(0)
         for k, (cs, ks) in enumerate(zip(lattice, classical)):
+            if cs.support + ks.support > cap:
+                assert math.isnan(cmp.eps_hat[i, k]), (size, k + 1)
+                continue
+            audited[-1] += 1
             # With 4 atoms the walk packing is the base-4 one, so codes stay in 4**n.
-            a, b = (ProbabilityTable(length=w.length, alphabet=4, codes=w.codes, probs=w.probs,
-                                     counts=w.counts, total=w.total) for w in (cs, ks))
+            a, b = (ProbabilityTable(length=w.length, alphabet=4, codes=w.codes,
+                                     probs=w.counts / w.total, counts=w.counts, total=w.total)
+                    for w in (cs, ks))
             pa, pb = _probs_on_union(a, b)
             assert cmp.eps_hat[i, k] == np.abs(pa - pb).max(), (size, k + 1)
             _, bound = fannes_bound(a, b)
             margins.append(bound - abs(cs.entropy - ks.entropy))
-    assert cmp.fannes_checked == len(margins) == len(sizes) * n_max
+    assert audited == [12, 11, 9]
+    assert cmp.fannes_checked == len(margins) == sum(audited)
     assert cmp.fannes_violations == 0
     assert cmp.fannes_min_margin == min(margins)
+    assert every.fannes_checked == len(sizes) * n_max and every.fannes_violations == 0
+    finite = np.isfinite(cmp.eps_hat)
+    assert cmp.eps_hat[finite].tobytes() == every.eps_hat[finite].tobytes()
+    assert cmp.s_cs.tobytes() == every.s_cs.tobytes() and cmp.breaking == every.breaking
 
     def failing(a, b):
         raise RuntimeError("audit failed")
 
-    monkeypatch.setattr(entropy, "_probs_on_union", failing)
+    monkeypatch.setattr(entropy, "_union_slots", failing)
     with pytest.raises(RuntimeError, match="audit failed"):
         compare_entropy_production(CAT, part, n_max, sizes, samples, seed=11)
     assert threading.active_count() == before
 
 
+def _walks_recorded(monkeypatch, walked, on_draw):
+    """Patch `_orbit_atoms` so each walk records its size and thread, and
+    calls `on_draw(size)`, when the helper starts drawing its chunks."""
+    orbit_atoms = entropy._orbit_atoms
+
+    def recorded(T, weights, *args):
+        chunks = orbit_atoms(T, weights, *args)
+
+        def drawn():
+            walked.append((weights.cfg.size, threading.current_thread()))
+            on_draw(weights.cfg.size)
+            yield from chunks
+
+        return drawn()
+
+    monkeypatch.setattr(entropy, "_orbit_atoms", recorded)
+
+
 def test_compare_audit_failure_stops_at_the_next_size(monkeypatch):
-    """A failed audit is raised at the next size boundary; later sizes are not sampled.
+    """A lattice walk that raises on the helper thread stops the call at its size.
 
-    The first audit fails only once the second size has begun, and the
-    sampler of that size waits for it, so the failure is known at the third.
+    The caller samples that size, meets the error when it takes the size's
+    lattice words, and samples no later size.
     """
-    gate = threading.Event()
-    futures, sampled = [], []
+    walked, sampled = [], []
     sampler = entropy._classical_atom_matrix
-
-    class Helper(concurrent.futures.ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            futures.append(super().submit(*args, **kwargs))
-            return futures[-1]
-
-    def failing(cs, ks):
-        gate.wait(timeout=10)
-        raise RuntimeError("audit failed")
 
     def sampling(T, weights, *args):
         sampled.append(weights.cfg.size)
-        if len(sampled) == 2:
-            gate.set()
-            concurrent.futures.wait(futures[:1], timeout=10)
         return sampler(T, weights, *args)
 
-    monkeypatch.setattr(entropy, "ThreadPoolExecutor", Helper)
-    monkeypatch.setattr(entropy, "_fannes_audit", failing)
+    def failing(size):
+        if size == 64:
+            raise RuntimeError("walk failed")
+
+    _walks_recorded(monkeypatch, walked, failing)
     monkeypatch.setattr(entropy, "_classical_atom_matrix", sampling)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="audit failed"):
+    with pytest.raises(RuntimeError, match="walk failed"):
         compare_entropy_production(CAT, partition_quadrants(), 6, (32, 64, 128), 5_000, seed=2)
     assert sampled == [32, 64]
+    assert [size for size, _ in walked][:2] == [32, 64]
+    assert all(thread is not threading.current_thread() for _, thread in walked)
     assert threading.active_count() == before
 
 
 def test_compare_error_cancels_the_queued_audits(monkeypatch):
-    """An error on the calling thread cancels the audits still queued.
+    """An error on the calling thread cancels the lattice walks not yet started.
 
-    The first audit holds the helper thread until the queued ones are
-    cancelled, and the sampler fails at the second size once it has begun.
+    The walk of the second size holds the helper thread until the queued
+    walks are cancelled, and the sampler fails at that size once the walk
+    has begun, so the third size is never walked.
     """
     started, gate = threading.Event(), threading.Event()
-    ran = []
-    audit, sampler = entropy._fannes_audit, entropy._classical_atom_matrix
+    walked = []
+    sampler = entropy._classical_atom_matrix
 
     class Helper(concurrent.futures.ThreadPoolExecutor):
         def shutdown(self, wait=True, *, cancel_futures=False):
@@ -756,27 +774,107 @@ def test_compare_error_cancels_the_queued_audits(monkeypatch):
                 gate.set()
             super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
-    def gated(cs, ks):
-        if not ran:
+    def held(size):
+        if size == 64:
             started.set()
             gate.wait(timeout=10)
-        ran.append(cs.length)
-        return audit(cs, ks)
 
     def failing(T, weights, *args):
         if weights.cfg.size == 64:
-            started.wait(timeout=10)
+            assert started.wait(timeout=10)
             raise RuntimeError("sampler failed")
         return sampler(T, weights, *args)
 
+    _walks_recorded(monkeypatch, walked, held)
     monkeypatch.setattr(entropy, "ThreadPoolExecutor", Helper)
-    monkeypatch.setattr(entropy, "_fannes_audit", gated)
     monkeypatch.setattr(entropy, "_classical_atom_matrix", failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="sampler failed"):
-        compare_entropy_production(CAT, partition_quadrants(), 6, (32, 64), 5_000, seed=2)
-    assert ran == [1]
+        compare_entropy_production(CAT, partition_quadrants(), 6, (32, 64, 128), 5_000, seed=2)
+    assert [size for size, _ in walked] == [32, 64]
     assert threading.active_count() == before
+
+
+def _bench_traced_functions():
+    """Every function that the bench's span tracer rebinds: the public
+    functions of its six modules, the classical sampler, and two methods,
+    as (owner, attribute, function, name)."""
+    package = importlib.import_module("torusdyn")
+    modules = [importlib.import_module(f"torusdyn.{m}")
+               for m in ("maps", "lattice", "rectangles", "discretize", "entropy", "cli")]
+    names = {entropy._classical_atom_matrix: "entropy._classical_atom_matrix"}
+    for mod in modules:
+        for attr, obj in vars(mod).items():
+            if not attr.startswith("_") and inspect.isfunction(obj) and obj.__module__ == mod.__name__:
+                names[obj] = f"{mod.__name__.rsplit('.', 1)[1]}.{attr}"
+    found = [(ns, attr, value, names[value])
+             for ns in (package, *modules) for attr, value in vars(ns).items()
+             if inspect.isfunction(value) and value in names]
+    found.append((Partition, "atom_index", Partition.atom_index, "entropy.Partition.atom_index"))
+    from_counts = vars(ProbabilityTable)["from_counts"].__func__
+    found.append((ProbabilityTable, "from_counts", from_counts,
+                  "entropy.ProbabilityTable.from_counts"))
+    return found
+
+
+def test_compare_runs_every_traced_function_on_the_calling_thread(monkeypatch):
+    """The helper thread runs no function that the bench's tracer times.
+
+    The tracer keeps one span stack for all threads, so a traced call on
+    the helper would interleave with the caller's spans.  The lattice
+    walk's permutation tables are built on the helper.
+    """
+    threads = {}
+
+    def recording(name, fn):
+        @functools.wraps(fn)
+        def record(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.current_thread())
+            return fn(*args, **kwargs)
+        return record
+
+    for owner, attr, fn, name in _bench_traced_functions():
+        wrapped = recording(name, fn)
+        monkeypatch.setattr(owner, attr, classmethod(wrapped) if attr == "from_counts" else wrapped)
+    monkeypatch.setattr(entropy, "_permutation", recording("_permutation", entropy._permutation))
+    entropy.compare_entropy_production(CAT, partition_quadrants(), 12, (32, 64, 128), 20_000,
+                                       seed=1)
+    caller = threading.current_thread()
+    walkers = threads.pop("_permutation")
+    assert walkers and caller not in walkers
+    assert {"maps.classify", "lattice.matrix_power_mod", "entropy.snap_partition",
+            "entropy.cell_weights", "entropy._classical_atom_matrix",
+            "entropy.compare_entropy_production"} <= set(threads)
+    assert {name: seen for name, seen in threads.items() if seen != {caller}} == {}
+
+
+def test_compare_checks_every_dyadic_horizon_before_walking(monkeypatch, tmp_path, capsys):
+    """A size past the sampler's dyadic horizon is refused before any size is walked.
+
+    [[3,1],[2,1]] at 54 steps is within the horizon at N = 1024 (52-bit
+    orbits, 54.7 steps) and past it at N = 2048 (51 bits, 53.7 steps).
+    """
+    orbit_atoms = entropy._orbit_atoms
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].cfg.size)
+        return orbit_atoms(*args)
+
+    monkeypatch.setattr(entropy, "_orbit_atoms", counted)
+    with pytest.raises(ValueError, match="horizon"):
+        compare_entropy_production(ToralMatrix(3, 1, 2, 1), partition_halves_x1(), 54,
+                                   (1024, 2048), 1000, seed=1)
+    argv = ["entropy", "--matrix", "3", "1", "2", "1", "--partition", "halves-x1",
+            "--sizes", "1024", "2048", "--n-max", "54", "--samples", "1000", "--seed", "1",
+            "--output", str(tmp_path / "e.csv")]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert captured.out == "" and len(lines) == 1 and "53.7-step horizon" in lines[0]
+    assert not (tmp_path / "e.csv").exists()
+    assert not list(tmp_path.iterdir())
+    assert calls == []
 
 
 def test_compare_low_entropy_partition_no_spurious_break():
