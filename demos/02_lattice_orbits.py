@@ -22,7 +22,7 @@ def main() -> None:
     print(f"map {CAT.entries}, family {data.family.value}\n")
 
     cfg = LatticeConfig(5)
-    f = build_permutation(CAT, cfg).forward
+    f = build_permutation(CAT, cfg)
     print("action on the 5 x 5 lattice (cell -> image cell):")
     for p1 in range(5):
         row = []
@@ -34,7 +34,7 @@ def main() -> None:
 
     # group law: permutation of T^3 equals the table of T gathered on itself twice
     cubed = ToralMatrix(*matrix_power_entries(CAT, 3))
-    assert build_permutation(cubed, cfg).forward.tolist() == f[f[f]].tolist()
+    assert build_permutation(cubed, cfg).tolist() == f[f[f]].tolist()
     print("permutation(T^3) == permutation(T)^3 on the lattice: verified\n")
 
     print("orbit period of the permutation vs lattice size:")

@@ -69,6 +69,8 @@ __all__ = [
 _UNALIGNED_CAP = 4096
 _MAX_ATOMS = 255
 _CODE_BIT_LIMIT = 62
+# Largest combined support of a (size, length) pair that the compare audit checks.
+_AUDIT_SUPPORT_CAP = 1 << 20
 
 
 class AlignmentRequiredError(ValueError):
@@ -312,32 +314,15 @@ def cell_weights(partition: Partition, cfg: LatticeConfig) -> CellWeightTable:
     aligned = bool(np.all((num == 0) | (num == den)))
     atom_map = None
     if aligned:
-        # Each atom covers the product of its full rows and columns; every
-        # cell must be covered exactly once.
+        # Each atom covers the product of its full rows and columns; the
+        # atoms of a validated Partition tile the torus, so every cell is
+        # written exactly once.
         atom_map = np.empty((size, size), dtype=np.uint8)
-        hits = np.zeros((size, size), dtype=np.uint8)
         for a in range(d):
             for r0, r1 in _cell_runs(nx[a]):
                 for c0, c1 in _cell_runs(ny[a]):
                     atom_map[r0:r1, c0:c1] = a
-                    hits[r0:r1, c0:c1] += 1
-        bad = np.flatnonzero(hits != 1)
-        if bad.size:
-            p1, p2 = divmod(int(bad[0]), size)
-            raise AssertionError(
-                f"aligned cell ({p1},{p2}) lies in {hits[p1, p2]} atoms"
-            )
         atom_map = atom_map.ravel()
-    else:
-        # Exact sanity check on a few cells.
-        for p1 in (0, size // 2, size - 1):
-            for p2 in (0, size // 2, size - 1):
-                total = sum(int(nx[a, p1]) * int(ny[a, p2]) for a in range(d))
-                if total != den * den:
-                    raise AssertionError(
-                        f"cell ({p1},{p2}) atom weights sum to "
-                        f"{Fraction(total, den * den)}, expected 1"
-                    )
     return CellWeightTable(
         cfg=cfg,
         atom_count=d,
@@ -532,8 +517,6 @@ def _classical_atom_matrix(
     of cell ((2N a + 2**bits) >> (bits + 1)) mod N (`_dyadic_bits` gives
     bits, and refuses words past the dyadic horizon).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     size = weights.cfg.size
     bits = _dyadic_bits(T, classify(T).xi if T is not None else 0.0, size, length)
     rng = np.random.default_rng(seed)
@@ -765,7 +748,7 @@ def _orbit_atoms(T: Optional[ToralMatrix], weights: CellWeightTable, length: int
     leap = matrix_power_mod(T, width, cfg.size) if T is not None and length > width else None
 
     def chunks():
-        forward = _permutation(one, cfg, capacity).forward if one is not None else None
+        forward = _permutation(one, cfg, capacity) if one is not None else None
         symbols = weights.atom_of_cell
         digits = symbols.copy()
         for _ in range(1, width):
@@ -774,7 +757,7 @@ def _orbit_atoms(T: Optional[ToralMatrix], weights: CellWeightTable, length: int
             digits |= symbols
         forward = symbols = None  # freed first: the two tables are never held at once
         if leap is not None:
-            forward = _permutation(leap, cfg, capacity).forward
+            forward = _permutation(leap, cfg, capacity)
         for start in range(0, length, width):
             if start:
                 digits = digits[forward] if forward is not None else digits
@@ -1078,7 +1061,6 @@ def compare_entropy_production(
     break_increment_fraction: float = 0.5,
     abs_gap_threshold: float = 0.05,
     capacity: int = DEFAULT_CAPACITY,
-    diff_support_cap: int = 1 << 20,
 ) -> EntropyComparison:
     """Run the lattice/classical entropy comparison over a ladder of sizes.
 
@@ -1096,27 +1078,30 @@ def compare_entropy_production(
     log(samples), well before the lattice stall near 2 log(size)/rate.
     Non-hyperbolic families (rate zero) fall back to |S_ks - S_cs| >
     `abs_gap_threshold`.  A least-squares line of breaking time against
-    log(size) is fitted when at least two sizes break.
+    log(size) is fitted when at least two distinct sizes break.
 
     Each (size, length) pair whose combined table support stays within
-    `diff_support_cap` also gets a pointwise sup-difference (`eps_hat`) and
-    a total-variation entropy continuity check; larger pairs record NaN
-    and are skipped (the entropy and breaking outputs never depend on
-    these diagnostics).  The audited lengths of a size are audited
-    together, from one merge of both sides' longest audited words.
+    2**20 words (`_AUDIT_SUPPORT_CAP`) also gets a pointwise
+    sup-difference (`eps_hat`) and a total-variation entropy continuity
+    check; larger pairs record NaN and are skipped (the entropy and
+    breaking outputs never depend on these diagnostics).  The audited
+    lengths of a size are audited together, from one merge of both sides'
+    longest audited words.
 
-    Every size is snapped, weighted and checked against the sampler's
-    dyadic horizon before any lattice walk starts.  Then each size's
-    lattice side (permutation tables, walk and word counter) is queued as
-    one task on a helper thread, while this thread samples and counts each
-    size's classical words in turn, takes that size's lattice words and
-    audits them.  The helper calls no public function, and each size's
-    outputs are computed from the same words as in a serial run, so they
-    are bit-identical to one.  A lattice task that raises stops the call
-    at its size, any error cancels the tasks not yet started, and the
-    thread ends with the call.
+    The sample count is checked, and every size snapped, weighted and
+    checked against the sampler's dyadic horizon, before any lattice walk
+    starts.  Then each size's lattice side (permutation tables, walk and
+    word counter) is queued as one task on a helper thread, while this
+    thread samples and counts each size's classical words in turn, takes
+    that size's lattice words and audits them.  The helper calls no public
+    function, and each size's outputs are computed from the same words as
+    in a serial run, so they are bit-identical to one.  A lattice task
+    that raises stops the call at its size, any error cancels the tasks
+    not yet started, and the thread ends with the call.
     """
     _check_word_space(n_max, len(partition))
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     sizes = tuple(int(s) for s in sizes)
     if not sizes:
         raise ValueError("need at least one lattice size")
@@ -1166,7 +1151,7 @@ def compare_entropy_production(
                         brk = n
             breaking.append(brk)
             # Supports grow with the length, so the audited lengths are 1..m.
-            m = sum(cs.support + ks.support <= diff_support_cap
+            m = sum(cs.support + ks.support <= _AUDIT_SUPPORT_CAP
                     for cs, ks in zip(cs_words, ks_words))
             eps_hat[i, m:] = math.nan
             if m:
@@ -1179,7 +1164,7 @@ def compare_entropy_production(
     ks_inc = s_ks[:, 1:] - s_ks[:, :-1]
     valid = [(math.log(sz), b) for sz, b in zip(sizes, breaking) if b is not None]
     slope = intercept = None
-    if len(valid) >= 2:
+    if len({x for x, _ in valid}) >= 2:  # a repeated size alone leaves the line undetermined
         xs = np.array([v[0] for v in valid])
         ys = np.array([float(v[1]) for v in valid])
         coef = np.polyfit(xs, ys, 1)

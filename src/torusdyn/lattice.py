@@ -3,7 +3,9 @@
 The N x N lattice consists of the points p/N with p in (Z/NZ)^2.  An
 integer unimodular matrix T restricts to a bijection of the lattice,
 U(p) = T p mod N, computed here in exact integer arithmetic, and that
-bijection is realized as a permutation table for fast vectorized use.  Its
+bijection is realized as a read-only index table for fast vectorized use.
+Since det T = 1, the table is a bijection by construction; tests check it
+against a Python-integer oracle, and nothing re-checks it at run time.  Its
 period is the order of T mod N, found without the table.
 Rounding a torus point to the lattice follows
 p_i = floor(N x_i + 1/2) mod N, so every lattice point owns the half-open
@@ -26,7 +28,6 @@ __all__ = [
     "torus_distance_arrays",
     "round_coordinates",
     "matrix_power_mod",
-    "Permutation",
     "build_permutation",
     "orbit_period",
 ]
@@ -102,52 +103,23 @@ def _index_dtype(points: int):
     return np.int32 if points <= np.iinfo(np.int32).max else np.int64
 
 
-@dataclass(frozen=True, eq=False)
-class Permutation:
-    """A permutation of the N^2 lattice indices (row-major ell = p1*N + p2).
-
-    `forward[ell]` is the index of U(point(ell)), so gathering a vector of
-    per-point values on it, new = old[forward], pulls them back by one step
-    of the lattice dynamics (new[ell] = old[U(ell)]), and `forward` gathered
-    on itself a times is the table of U**a.
-    """
-
-    cfg: LatticeConfig
-    forward: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.forward)
-        if arr.shape != (self.cfg.points,):
-            raise ValueError(
-                f"permutation table must have shape ({self.cfg.points},), got {arr.shape}"
-            )
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise TypeError("permutation table must hold integers")
-        # N^2 entries in [0, N^2) that hit every index are a bijection.
-        seen = np.zeros(self.cfg.points, dtype=bool)
-        if arr.min() >= 0 and arr.max() < self.cfg.points:
-            seen[arr] = True
-        if not seen.all():
-            raise ValueError("permutation table is not a bijection of the lattice")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "forward", arr)
-
-
 def build_permutation(
     T: ToralMatrix, cfg: LatticeConfig, capacity: int = DEFAULT_CAPACITY
-) -> Permutation:
-    """Permutation table of the one-step lattice map U(p) = T p mod N.
+) -> np.ndarray:
+    """Read-only table of the one-step lattice map U(p) = T p mod N.
 
-    Raises CapacityExceededError when N^2 exceeds `capacity`.
+    `table[ell]` is the row-major index (p1*N + p2) of U(point(ell)), so
+    new = old[table] pulls per-point values back by one step, and the table
+    gathered on itself a times is the table of U**a.  Raises
+    CapacityExceededError when N^2 exceeds `capacity`.
     """
     return _permutation(matrix_power_mod(T, 1, cfg.size), cfg, capacity)
 
 
 def _permutation(
     entries: tuple[int, int, int, int], cfg: LatticeConfig, capacity: int
-) -> Permutation:
-    """Permutation table of p -> M p mod N, for the entries of M mod N.
+) -> np.ndarray:
+    """Read-only permutation table of p -> M p mod N, for the entries of M mod N.
 
     M is a power of a unimodular T, possibly +-I, which ToralMatrix
     rejects.  Exact and free of integer division: M(p1, p2) = M(p1, 0) +
@@ -170,7 +142,9 @@ def _permutation(
         np.subtract(q, n, out=q, where=q >= n)
     q1 *= n
     q1 += q2
-    return Permutation(cfg, q1.ravel())
+    table = q1.ravel()
+    table.flags.writeable = False
+    return table
 
 
 def orbit_period(T: ToralMatrix, cfg: LatticeConfig) -> int:

@@ -32,7 +32,6 @@ KEPT = {
     "ProbabilityTable.probability": "acceptance criterion 7 reads tables with it",
     "Partition.atom_index": "bench/tracer.py rebinds it by name",
     "ProbabilityTable.from_counts": "bench/tracer.py rebinds it by name",
-    "Permutation": "the checked bijection that build_permutation returns",
 }
 
 

@@ -1,10 +1,18 @@
 """Command-line interface: subcommands, config layering, determinism, exit codes."""
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torusdyn import cli
 from torusdyn.cli import EXIT_CAPACITY, EXIT_OK, EXIT_VALIDATION, build_parser, main
@@ -587,3 +595,168 @@ def test_unwritable_path_is_refused_before_the_work(flag, monkeypatch, capsys, t
     assert err.startswith("FileNotFoundError: ") and str(missing) in err
     assert len(err.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == []
+
+
+# --- the contract over every option ------------------------------------------------------
+
+# Each option draws a usual value, mostly, or a boundary one: zero, one,
+# minus one, 2**31, 2**63, NaN, infinities, fractions, malformed specs, and
+# missing or directory paths.
+INT_EDGES = ["0", "1", "-1", "2147483648", "9223372036854775808", "nan", "inf", "1/2", "0.5"]
+FLOAT_EDGES = INT_EDGES + ["-inf", "1e308", "2.5", "1e-300"]
+# (usual, boundary) tokens of the options that set the amount of work,
+# bounded so that one example takes milliseconds: lattice sizes, samples,
+# trials, and the step and length counts that the commands loop over.
+COSTS = {
+    "size": (["8", "16", "32", "64"], ["-1", "0", "1", "2", "3", "17"]),
+    "samples": (["100", "1000"], ["-1", "0", "1", "2"]),
+    "trials": (["10", "100"], ["-1", "0", "1", "2"]),
+    "steps-max": (["0", "3", "10"], ["-1", "1", "40"]),
+    "n-max": (["1", "4", "12"], ["-1", "0", "2", "31", "32", "62", "63", "64"]),
+    "grid-factor": (["1", "2"], ["-1", "0", "8"]),
+    "quadrature": (["1", "4"], ["-1", "0", "8"]),
+    # localize's shadowing check steps every orbit, one step at a time
+    "localize --steps": (["1", "3"], ["-1", "0", "2", "60", "1000"]),
+}
+COSTS["sizes"] = COSTS["size"]
+MATRICES = (
+    [["2", "1", "1", "1"], ["3", "2", "1", "1"], ["1", "1", "0", "1"], ["0", "1", "-1", "0"],
+     ["1", "1", "-1", "0"], ["-2", "1", "-1", "0"]],
+    [["1", "0", "0", "1"], ["2", "0", "0", "2"], ["1", "2147483648", "0", "1"],
+     ["1", "9223372036854775808", "0", "1"]],
+)
+PARTITIONS = (
+    ["quadrants", "halves", "halves-x2", "bands-x2:3", "rects:0,1/2,0,1;1/2,1/2,0,1"],
+    ["bands-x2:0", "bands-x2:1", "bands-x2:300", "rects:0,1/3,0,1", "rects:0,0,0,1", "bogus"],
+)
+OBSERVABLES = (
+    ["sin-x1", "cos-x2", "sin-sum", "indicator:0,1/2,0,1"],
+    ["indicator:0,0,0,1", "indicator:0,1/2,0,1;1/4,1/2,0,1", "bogus"],
+)
+# Path placeholders, filled in per example: a new file, a missing
+# directory, and an existing directory.
+PATHS = (["{work}/{name}.out"], ["{work}/missing/{name}.out", "{work}/adir"])
+CONFIGS = ["{work}/seed.cfg", "{work}/bogus.cfg", "{work}/missing.cfg", "{work}/adir"]
+
+
+def _usual_or_edge(usual, edges):
+    """One of `usual`, or one of `edges` (a list or a strategy) about one time in six."""
+    edge = edges if isinstance(edges, st.SearchStrategy) else st.sampled_from(edges)
+    return st.integers(0, 5).flatmap(lambda k: st.sampled_from(usual) if k else edge)
+
+
+def _one(usual, edges):
+    return _usual_or_edge(usual, edges).map(lambda token: [token])
+
+
+def _cost_name(command, opt):
+    name = f"{command} --{opt.name}"
+    return name if name in COSTS else opt.name if opt.name in COSTS else None
+
+
+def _option_tokens(command, opt):
+    """Strategy for the value tokens of one Opt of `command`."""
+    if opt.check is cli._check_output_path:
+        return _one(*PATHS).map(lambda p: [p[0].replace("{name}", opt.name)])
+    if opt.choices is not None:
+        return _one(list(opt.choices), ["bogus"])
+    if opt.parse is cli.parse_partition:
+        return _one(*PARTITIONS)
+    if opt.parse is cli.parse_observable:
+        return _one(*OBSERVABLES)
+    if opt.nargs == 4:
+        usual, edges = MATRICES
+        return _usual_or_edge(usual, st.one_of(st.sampled_from(edges), st.lists(
+            st.sampled_from(INT_EDGES), min_size=4, max_size=4)))
+    cost = _cost_name(command, opt)
+    if cost is not None:
+        usual, edges = COSTS[cost][0], COSTS[cost][1] + ["nan", "1/2"]
+        if opt.nargs == "+":
+            return st.lists(_usual_or_edge(usual, edges), min_size=1, max_size=3)
+        return _one(usual, edges)
+    if opt.flag_type in (int, float):
+        usual = [str(opt.default)] if opt.default is not None else ["1", "7"]
+        return _one(usual, INT_EDGES if opt.flag_type is int else FLOAT_EDGES)
+    raise AssertionError(f"no strategy for {command} --{opt.name}")
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(cli._SUBCOMMANDS)))
+    argv = [command]
+    if draw(st.integers(0, 7)) == 0:
+        argv += ["--config", draw(st.sampled_from(CONFIGS))]
+    for opt in cli._SUBCOMMANDS[command][1]:
+        # Cost options are always given, so no default exceeds the bounds;
+        # a required option is left out now and then.
+        if _cost_name(command, opt) is None:
+            if draw(st.integers(0, 9)) >= (9 if opt.required else 5):
+                continue
+        if opt.is_flag:
+            argv.append(f"--{opt.name}")
+        else:
+            argv += [f"--{opt.name}", *draw(_option_tokens(command, opt))]
+    return argv
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _check_output(text):
+    """Parse one output strictly: JSON with no NaN or Infinity, CSV with finite cells."""
+    if text.startswith("# schema="):
+        lines = [line for line in text.splitlines() if not line.startswith("#")]
+        for line in lines[1:]:
+            for cell in line.split(","):
+                assert math.isfinite(float(cell)), line
+    elif text.startswith("{"):
+        json.loads(text, parse_constant=_no_constant)
+    else:
+        # classify's text block, followed by its JSON record unless that went to a file
+        assert text.startswith("matrix ")
+        if "\n{" in text:
+            json.loads(text[text.index("\n{"):], parse_constant=_no_constant)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs())
+# A size given twice once fitted a line through one log(size), with a RankWarning.
+@example(["entropy", "--identity-dynamics", "--sizes", "2", "3", "3", "--n-max", "1",
+          "--samples", "100", "--seed", "1", "--output", "{work}/output.out"])
+def test_cli_contract_over_every_option(argv):
+    """Any argv exits 0, 2 or 3, with no traceback; a failed run writes nothing.
+
+    An exit of 0 writes strict JSON and finite CSV cells.  A non-zero exit
+    prints one stderr line, or argparse's usage block and its error line,
+    and leaves stdout and the working directory as they were.
+    """
+    with tempfile.TemporaryDirectory() as work:
+        Path(work, "adir").mkdir()
+        Path(work, "seed.cfg").write_text("seed = 1\n")
+        Path(work, "bogus.cfg").write_text("bogus = 1\n")
+        before = set(os.listdir(work))
+        argv = [token.replace("{work}", work) for token in argv]
+        out, err = io.StringIO(), io.StringIO()
+        # A warning would print to stderr beside the result: fail on it.
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(argv)
+        written = sorted(set(os.listdir(work)) - before)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_CAPACITY)
+        lines = err.getvalue().splitlines()
+        assert not any("Traceback" in line for line in lines)
+        if code == EXIT_OK:
+            assert lines == []
+            texts = [out.getvalue()] if out.getvalue() else []
+            texts += [Path(work, name).read_text() for name in written]
+            assert texts
+            for text in texts:
+                _check_output(text)
+        else:
+            assert out.getvalue() == "" and written == []
+            # argparse prints its usage block, then one error line.
+            usage = (lines[0].startswith(f"usage: torusdyn {argv[0]} ")
+                     and lines[-1].startswith(f"torusdyn {argv[0]}: error: "))
+            assert len(lines) == 1 or (usage and len(lines) <= 12), lines

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from torusdyn import entropy
-from torusdyn.cli import EXIT_VALIDATION, main
+from torusdyn.cli import EXIT_VALIDATION, main, parse_partition
 from torusdyn.entropy import (
     _classical_atom_matrix,
     _common_prefixes,
@@ -221,23 +221,6 @@ def test_cell_weights_aligned_match_fraction_overlaps():
             assert np.array_equal(w.x_weights, wx)
             assert np.array_equal(w.y_weights, wy)
             assert np.array_equal(w.atom_of_cell, atom_of_cell)
-
-
-def test_cell_weights_aligned_cover_is_checked():
-    snapped, _ = snap_partition(partition_quadrants(), 8)
-    cfg = LatticeConfig(8)
-    # Bypass Partition validation: a missing atom leaves cells uncovered,
-    # a repeated one covers cells twice.  The first bad cell in row-major
-    # order is reported.
-    for atoms, message in (
-        (snapped.atoms[:1] + snapped.atoms[2:], r"aligned cell \(1,0\) lies in 0 atoms"),
-        (snapped.atoms + snapped.atoms[:1], r"aligned cell \(1,1\) lies in 2 atoms"),
-    ):
-        broken = object.__new__(Partition)
-        object.__setattr__(broken, "atoms", atoms)
-        object.__setattr__(broken, "name", "broken")
-        with pytest.raises(AssertionError, match=message):
-            cell_weights(broken, cfg)
 
 
 def test_cell_weights_unaligned_rows_sum_to_one():
@@ -617,7 +600,7 @@ def test_compare_hyperbolic_ladder():
     assert len(d["s_cs"]) == 3 and len(d["s_cs"][0]) == 13
 
 
-def test_compare_stops_the_lattice_walk_at_separation():
+def test_compare_stops_the_lattice_walk_at_separation(monkeypatch):
     """Past the length whose words separate every lattice point nothing changes.
 
     With N**2 at or above the audit cap, S_cs repeats log N**2 from the
@@ -627,7 +610,8 @@ def test_compare_stops_the_lattice_walk_at_separation():
     part = partition_quadrants()
     sizes = (32, 64)
     default = compare_entropy_production(CAT, part, 14, sizes, 50_000, seed=3)
-    capped = compare_entropy_production(CAT, part, 14, sizes, 50_000, seed=3, diff_support_cap=1024)
+    monkeypatch.setattr(entropy, "_AUDIT_SUPPORT_CAP", 1024)
+    capped = compare_entropy_production(CAT, part, 14, sizes, 50_000, seed=3)
     assert capped.s_ks.tobytes() == default.s_ks.tobytes()
     assert capped.breaking == default.breaking and capped.slope == default.slope
     assert capped.fannes_violations == 0
@@ -665,9 +649,9 @@ def test_compare_audit_on_its_helper_thread_matches_a_serial_audit(monkeypatch):
     part = partition_quadrants()
     sizes, n_max, samples, cap = (32, 64, 128), 12, 50_000, 50_000
     before = threading.active_count()
-    cmp = compare_entropy_production(CAT, part, n_max, sizes, samples, seed=11,
-                                     diff_support_cap=cap)
     every = compare_entropy_production(CAT, part, n_max, sizes, samples, seed=11)
+    monkeypatch.setattr(entropy, "_AUDIT_SUPPORT_CAP", cap)
+    cmp = compare_entropy_production(CAT, part, n_max, sizes, samples, seed=11)
     assert threading.active_count() == before
     children = np.random.SeedSequence(11).spawn(len(sizes))
     margins, audited = [], []
@@ -849,7 +833,7 @@ def test_compare_runs_every_traced_function_on_the_calling_thread(monkeypatch):
 
 
 def test_compare_checks_every_dyadic_horizon_before_walking(monkeypatch, tmp_path, capsys):
-    """A size past the sampler's dyadic horizon is refused before any size is walked.
+    """A size past the sampler's dyadic horizon, or no samples, is refused before any walk.
 
     [[3,1],[2,1]] at 54 steps is within the horizon at N = 1024 (52-bit
     orbits, 54.7 steps) and past it at N = 2048 (51 bits, 53.7 steps).
@@ -862,18 +846,21 @@ def test_compare_checks_every_dyadic_horizon_before_walking(monkeypatch, tmp_pat
         return orbit_atoms(*args)
 
     monkeypatch.setattr(entropy, "_orbit_atoms", counted)
-    with pytest.raises(ValueError, match="horizon"):
-        compare_entropy_production(ToralMatrix(3, 1, 2, 1), partition_halves_x1(), 54,
-                                   (1024, 2048), 1000, seed=1)
-    argv = ["entropy", "--matrix", "3", "1", "2", "1", "--partition", "halves-x1",
-            "--sizes", "1024", "2048", "--n-max", "54", "--samples", "1000", "--seed", "1",
-            "--output", str(tmp_path / "e.csv")]
-    assert main(argv) == EXIT_VALIDATION
-    captured = capsys.readouterr()
-    lines = captured.err.strip().splitlines()
-    assert captured.out == "" and len(lines) == 1 and "53.7-step horizon" in lines[0]
-    assert not (tmp_path / "e.csv").exists()
-    assert not list(tmp_path.iterdir())
+    for matrix, partition, n_max, sizes, samples, message in (
+        ((3, 1, 2, 1), "halves-x1", 54, (1024, 2048), 1000, "53.7-step horizon"),
+        ((2, 1, 1, 1), "quadrants", 20, (4096,), 0, "samples must be >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            compare_entropy_production(ToralMatrix(*matrix), parse_partition(partition), n_max,
+                                       sizes, samples, seed=1)
+        argv = ["entropy", "--matrix", *map(str, matrix), "--partition", partition,
+                "--sizes", *map(str, sizes), "--n-max", str(n_max), "--samples", str(samples),
+                "--seed", "1", "--output", str(tmp_path / "e.csv")]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1 and message in lines[0]
+        assert not list(tmp_path.iterdir())
     assert calls == []
 
 

@@ -43,6 +43,7 @@ from torusdyn.lattice import (
     DEFAULT_CAPACITY,
     LatticeConfig,
     _index_dtype,
+    _permutation,
     build_permutation,
     matrix_power_mod,
     orbit_period,
@@ -233,9 +234,35 @@ def test_build_permutation_matches_python_int_oracle():
     # cycle through 2..100 (LatticeConfig refuses N = 1).
     for i, T in enumerate(UNIMODULAR):
         size = 2 + i % 99
-        forward = build_permutation(T, LatticeConfig(size)).forward
-        assert forward.dtype == _index_dtype(size * size)
-        assert forward.tolist() == permutation_table_python_int(T, size)
+        table = build_permutation(T, LatticeConfig(size))
+        assert table.dtype == _index_dtype(size * size)
+        assert not table.flags.writeable
+        assert table.tolist() == permutation_table_python_int(T, size)
+
+
+@settings(deadline=None)
+@given(matrices, st.integers(2, 64), st.integers(1, 8))
+@example(ToralMatrix(0, 1, -1, 0), 9, 1)  # a quarter turn
+@example(ToralMatrix(0, 1, -1, 0), 10, 3)  # the other quarter turn
+@example(ToralMatrix(0, 1, -1, 0), 7, 2)  # -I
+@example(ToralMatrix(0, 1, -1, 0), 12, 4)  # I
+@example(ToralMatrix(1, 1, -1, 0), 5, 3)  # -I from an order-6 matrix
+@example(ToralMatrix(1, 1, -1, 0), 6, 6)  # I
+def test_permutation_of_walk_powers_matches_python_int_oracle(T, size, c):
+    # `_orbit_atoms` builds the tables of T and T**c, c <= 8, from their
+    # entries mod N; T**c may be plus or minus the identity, which
+    # ToralMatrix rejects, so there the oracle is p -> +-p mod N.
+    table = _permutation(matrix_power_mod(T, c, size), LatticeConfig(size), DEFAULT_CAPACITY)
+    power = matrix_power_entries(T, c)
+    if power in ((1, 0, 0, 1), (-1, 0, 0, -1)):
+        sign = power[0]
+        want = [(sign * p1 % size) * size + sign * p2 % size
+                for p1 in range(size) for p2 in range(size)]
+    else:
+        want = permutation_table_python_int(ToralMatrix(*power), size)
+    assert table.tolist() == want
+    assert table.dtype == _index_dtype(size * size)
+    assert not table.flags.writeable and table.flags.c_contiguous
 
 
 @settings(deadline=None)
@@ -245,7 +272,7 @@ def test_permutation_table_gathers_compose_powers(T, size, a):
     # plus or minus the identity (which ToralMatrix rejects) it is the
     # identity table or the point reflection p -> -p mod N.
     cfg = LatticeConfig(size)
-    f = build_permutation(T, cfg).forward
+    f = build_permutation(T, cfg)
     identity = np.arange(cfg.points)
     gathered = identity
     for _ in range(a):
@@ -257,7 +284,7 @@ def test_permutation_table_gathers_compose_powers(T, size, a):
         p1, p2 = np.divmod(identity, size)
         want = (-p1 % size) * size + (-p2 % size)
     else:
-        want = build_permutation(ToralMatrix(*power), cfg).forward
+        want = build_permutation(ToralMatrix(*power), cfg)
     assert np.array_equal(gathered, want)
     # orbit_period gathers return to the identity, and no fewer do
     period = orbit_period(T, cfg)
