@@ -34,6 +34,7 @@ from .maps import (
     ToralMatrix,
     classify,
     scaling_function,
+    _SAMPLE_BLOCK,
     _check_form_factor,
     _step,
 )
@@ -398,7 +399,8 @@ def check_dynamical_localization(
     lattice image of x's cell cannot reach the cell of any y that far away.
     Below the threshold, hits are possible and quantify the loss of
     localization.  T**n x is exact: T**n mod 2**53 applied to the 53-bit
-    numerators of the drawn x.  Deterministic for a fixed seed.
+    numerators of the drawn x.  Deterministic for a fixed seed.  The pairs
+    are drawn at once and checked in blocks of `_SAMPLE_BLOCK`.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -408,10 +410,16 @@ def check_dynamical_localization(
     rng = np.random.default_rng(seed)
     xs = rng.random((trials, 2))
     ys = rng.random((trials, 2))
-    a1, a2 = np.ascontiguousarray((xs * 2.0**53).astype(np.uint64).T)
-    tx1, tx2 = _step(matrix_power_mod(T, steps, _DYADIC), a1, a2, _DYADIC)
-    far = torus_distance_arrays(tx1 / _DYADIC, tx2 / _DYADIC, ys[:, 0], ys[:, 1]) >= d0
-    hits = kernel_many(T, cfg, steps, xs[:, 0], xs[:, 1], ys[:, 0], ys[:, 1]) == 1
+    leap = matrix_power_mod(T, steps, _DYADIC)
+    tested = violations = 0
+    for start in range(0, trials, _SAMPLE_BLOCK):
+        x, y = xs[start:start + _SAMPLE_BLOCK], ys[start:start + _SAMPLE_BLOCK]
+        a1, a2 = np.ascontiguousarray((x * 2.0**53).astype(np.uint64).T)
+        tx1, tx2 = _step(leap, a1, a2, _DYADIC)
+        far = torus_distance_arrays(tx1 / _DYADIC, tx2 / _DYADIC, y[:, 0], y[:, 1]) >= d0
+        hits = kernel_many(T, cfg, steps, x[:, 0], x[:, 1], y[:, 0], y[:, 1]) == 1
+        tested += int(far.sum())
+        violations += int(np.count_nonzero(hits & far))
     scaling = scaling_function(data, steps) if steps >= 1 else 0.0
     growth_bound = math.log(cfg.size) / gamma
     return LocalizationReport(
@@ -423,8 +431,8 @@ def check_dynamical_localization(
         d0=d0,
         trials=trials,
         seed=seed,
-        tested_pairs=int(far.sum()),
-        violations=int(np.count_nonzero(hits & far)),
+        tested_pairs=tested,
+        violations=violations,
         threshold=threshold,
         premise_satisfied=cfg.size > threshold,
         growth_scale=scaling,
@@ -472,7 +480,10 @@ def check_orbit_shadowing(
     its rounding, divided by the guaranteed bound threshold/(2N), must stay
     at or below 1.  The continuous orbit is exact: T mod 2**53 stepped on
     the 53-bit numerators of the drawn x.  Requires N strictly above the
-    family threshold, else ThresholdUnmetError.
+    family threshold, else ThresholdUnmetError.  The points are drawn at
+    once and tracked in blocks of `_SAMPLE_BLOCK`; an elliptic map is
+    tracked for at most its order less one steps, which repeat every later
+    distance.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -487,20 +498,25 @@ def check_orbit_shadowing(
             f"for {steps} steps of {T}"
         )
     bound = threshold / (2.0 * size)
+    # An elliptic T has order o in {3, 4, 6}: T**o = I over the integers, so
+    # both orbits repeat after o steps and the first o - 1 hold every distance.
+    tracked = steps if data.period is None else min(steps, data.period - 1)
     rng = np.random.default_rng(seed)
     xs = rng.random((trials, 2))
-    a1, a2 = np.ascontiguousarray((xs * 2.0**53).astype(np.uint64).T)
-    p1 = round_coordinates(xs[:, 0], size)
-    p2 = round_coordinates(xs[:, 1], size)
     one = matrix_power_mod(T, 1, size)
     one_dyadic = matrix_power_mod(T, 1, _DYADIC)
     max_distance = 0.0
-    for k in range(steps + 1):
-        if k:
-            a1, a2 = _step(one_dyadic, a1, a2, _DYADIC)
-            p1, p2 = _step(one, p1, p2, size)
-        dist = torus_distance_arrays(a1 / _DYADIC, a2 / _DYADIC, p1 / size, p2 / size)
-        max_distance = max(max_distance, float(dist.max()))
+    for start in range(0, trials, _SAMPLE_BLOCK):
+        x = xs[start:start + _SAMPLE_BLOCK]
+        a1, a2 = np.ascontiguousarray((x * 2.0**53).astype(np.uint64).T)
+        p1 = round_coordinates(x[:, 0], size)
+        p2 = round_coordinates(x[:, 1], size)
+        for k in range(tracked + 1):
+            if k:
+                a1, a2 = _step(one_dyadic, a1, a2, _DYADIC)
+                p1, p2 = _step(one, p1, p2, size)
+            dist = torus_distance_arrays(a1 / _DYADIC, a2 / _DYADIC, p1 / size, p2 / size)
+            max_distance = max(max_distance, float(dist.max()))
     return ShadowingReport(
         matrix=T.entries,
         family=data.family.value,

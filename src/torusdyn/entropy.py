@@ -65,8 +65,6 @@ __all__ = [
     "fannes_bound",
 ]
 
-# Largest word space (alphabet**length) of the dense unaligned recursion.
-_UNALIGNED_CAP = 4096
 _MAX_ATOMS = 255
 _CODE_BIT_LIMIT = 62
 # Largest combined support of a (size, length) pair that the compare audit checks.
@@ -74,7 +72,7 @@ _AUDIT_SUPPORT_CAP = 1 << 20
 
 
 class AlignmentRequiredError(ValueError):
-    """The requested word space is too large for unaligned cell weights."""
+    """A one-pass computation (`cs_entropies`) got a partition that is not aligned."""
 
 
 class DimensionMismatchError(ValueError):
@@ -350,7 +348,7 @@ def _check_word_space(length: int, alphabet: int) -> None:
         raise ValueError(f"word length must be >= 1, got {length}")
     if alphabet < 1:
         raise ValueError(f"alphabet size must be >= 1, got {alphabet}")
-    bits = (alphabet - 1).bit_length()
+    bits = max((alphabet - 1).bit_length(), 1)  # one atom packs no bits, but is still a symbol
     if length * bits > _CODE_BIT_LIMIT:
         raise CapacityExceededError(
             f"words of {length} symbols over {alphabet} atoms pass the {_CODE_BIT_LIMIT}-bit "
@@ -803,9 +801,14 @@ def cs_probabilities(
     Aligned partitions (`weights.aligned`: every cell weight 0 or 1, so
     every boundary is on a cell edge) reduce to exact orbit-word counting;
     the table then carries integer counts out of size**2.  Unaligned
-    partitions take a dense product-weight recursion over all
-    alphabet**length words, refused beyond 4096 words — snap the
-    partition to the lattice first for long words.
+    partitions take a sparse counter of (cell, code, mass) entries, one per
+    lattice point at first.  Step k splits each entry over the atoms of
+    positive weight in its cell (a CSR table of `weight_products`),
+    multiplies its mass by that weight, adds the atom at significance d**k
+    and moves the cell by one gather on the permutation table.  Equal codes
+    merge at the end, each word's mass summed over the start points in
+    order.  A step of more than `capacity` entries raises
+    CapacityExceededError.
     """
     _check_word_space(length, len(partition))
     weights = _checked_weights(cfg, partition, capacity, weights)
@@ -823,34 +826,36 @@ def cs_probabilities(
         counts = counts[order]
         return ProbabilityTable(length=length, alphabet=d, codes=codes[order],
                                 probs=counts / cfg.points, counts=counts, total=cfg.points)
-    space = d**length
-    if space > _UNALIGNED_CAP:
-        raise AlignmentRequiredError(
-            f"word space {d}**{length} = {space} exceeds the unaligned cap "
-            f"{_UNALIGNED_CAP}; snap the partition to the lattice (snap_partition) "
-            "or shorten the words"
-        )
-    size = cfg.size
-    one = matrix_power_mod(T, 1, size) if T is not None else None
-    chunk = max(1, (1 << 22) // space)
-    acc = np.zeros(space)
-    all_p1, all_p2 = np.divmod(np.arange(cfg.points, dtype=np.int64), size)
-    for start in range(0, cfg.points, chunk):
-        stop = min(start + chunk, cfg.points)
-        p1 = all_p1[start:stop].copy()
-        p2 = all_p2[start:stop].copy()
-        amp = np.ones((stop - start, 1))
-        for k in range(length):
-            w = weights.weight_products(p1, p2)  # (m, d)
-            # New step-k symbol lands at significance d**k: the word index
-            # factors as (digit, old_code) in C order.
-            amp = (w[:, :, None] * amp[:, None, :]).reshape(stop - start, d ** (k + 1))
-            if one is not None and k + 1 < length:
-                p1, p2 = _step(one, p1, p2, size)
-        acc += amp.sum(axis=0)
-    probs = acc / cfg.points
-    codes = np.arange(space, dtype=np.int64)
-    return ProbabilityTable.from_probs(codes, probs, length, d)
+    forward = (_permutation(matrix_power_mod(T, 1, cfg.size), cfg, capacity)
+               if T is not None and length > 1 else None)
+    w = weights.weight_products(*np.divmod(np.arange(cfg.points), cfg.size))
+    cell_of, atom_of = np.nonzero(w)  # by cell, then atom: the CSR rows
+    weight_of = w[cell_of, atom_of]
+    fan = np.bincount(cell_of, minlength=cfg.points)
+    row_start = np.cumsum(fan) - fan
+    cells = np.arange(cfg.points)
+    codes = np.zeros(cfg.points, dtype=np.int64)
+    mass = np.ones(cfg.points)
+    for k in range(length):
+        split = fan[cells]
+        entries = int(split.sum())
+        if entries > capacity:
+            raise CapacityExceededError(
+                f"unaligned words of {k + 1} steps take {entries} entries, "
+                f"above the configured capacity {capacity}"
+            )
+        # Entry i's pieces take the CSR slots row_start[cell_i] + 0..split_i-1.
+        slots = np.repeat(row_start[cells] - (np.cumsum(split) - split), split)
+        slots += np.arange(entries)
+        codes = np.repeat(codes, split)
+        codes += atom_of[slots] * d**k
+        mass = weight_of[slots] * np.repeat(mass, split)
+        cells = np.repeat(cells, split)
+        if forward is not None and k + 1 < length:
+            cells = forward[cells]
+    codes, word = np.unique(codes, return_inverse=True)
+    probs = np.bincount(word, weights=mass) / cfg.points
+    return ProbabilityTable(length=length, alphabet=d, codes=codes, probs=probs)
 
 
 def cs_entropy(

@@ -359,16 +359,24 @@ def diameter_formula(data: SpectralData, n: int) -> float:
     return diameter
 
 
+# Entries per block of the grid and Monte Carlo checks: 32 KiB a float
+# array, so no temporary reaches glibc's default 128 KiB mmap threshold and
+# the checks run in heap memory that is already mapped.
+_SAMPLE_BLOCK = 1 << 12
+
+
 @functools.lru_cache(maxsize=1)
-def _unit_circle(samples: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Read-only cos and sin of the angles 2 pi k / samples, k = 0..samples-1,
-    and the largest `np.hypot` of a (cos, sin) pair: the grid's own radius."""
+def _unit_circle(samples: int) -> tuple[np.ndarray, ...]:
+    """Read-only cos, sin, cos**2 and cos*sin of the angles 2 pi k / samples,
+    k = 0..samples-1, and the largest `np.hypot` of a (cos, sin) pair: the
+    grid's own radius."""
     theta = 2.0 * math.pi * np.arange(samples) / samples
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
-    cos_t.flags.writeable = False
-    sin_t.flags.writeable = False
-    return cos_t, sin_t, float(np.hypot(cos_t, sin_t).max())
+    grid = (cos_t, sin_t, cos_t * cos_t, cos_t * sin_t)
+    for column in grid:
+        column.flags.writeable = False
+    return (*grid, float(np.hypot(cos_t, sin_t).max()))
 
 
 def diameter_bruteforce(T: ToralMatrix, n: int, samples: int) -> float:
@@ -383,7 +391,8 @@ def diameter_bruteforce(T: ToralMatrix, n: int, samples: int) -> float:
 
     The result is the largest `np.hypot(a cos + b sin, c cos + d sin)` over
     the grid, bit for bit, found without taking `hypot` at every point.
-    The grid (cos, sin and its own radius) is built once per sample count.
+    The grid (cos, sin, cos**2, cos*sin and its own radius) is built once
+    per sample count.
     When T**n is plus or minus the identity or a quarter turn, the two
     components are the grid's cos and sin up to sign and order, which
     `hypot` ignores, so the result is the grid's radius.  Otherwise the
@@ -392,25 +401,39 @@ def diameter_bruteforce(T: ToralMatrix, n: int, samples: int) -> float:
     its largest entry into [1/2, 1), so no square overflows.  `hypot` is
     then taken only where that square is within a relative 1e-9 of the
     largest.  Rounding moves each square by about 1e-15 of the largest, so
-    the grid point with the largest `hypot` always lies in that set.
+    the grid point with the largest `hypot` always lies in that set.  The
+    squares are taken in blocks of `_SAMPLE_BLOCK` grid points.  A block
+    whose largest square is within 1e-9 of the largest so far keeps its
+    points within 1e-9 of its own largest, which holds its share of that
+    set; the overall largest then filters them.
     """
     if samples < 64:
         raise ValueError(f"need at least 64 samples, got {samples}")
     a, b, c, d = (float(v) for v in matrix_power_entries(T, n))
-    cos_t, sin_t, radius = _unit_circle(samples)
+    cos_t, sin_t, cos2_t, cos_sin_t, radius = _unit_circle(samples)
     if b == c == 0.0 or a == d == 0.0:  # det 1 then forces +-I or a quarter turn
         return radius
     shift = -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
     a2, b2, c2, d2 = (math.ldexp(v, shift) for v in (a, b, c, d))
     p, q, r = a2 * a2 + c2 * c2, a2 * b2 + c2 * d2, b2 * b2 + d2 * d2
-    # p cos^2 + 2 q cos sin + r sin^2, with sin^2 = 1 - cos^2 up to rounding.
-    squares = cos_t * cos_t
-    squares *= p - r
-    cross = cos_t * sin_t
-    cross *= 2.0 * q
-    squares += cross
-    squares += r
-    near = np.flatnonzero(squares >= squares.max() * (1.0 - 1e-9))
+    top, kept = -math.inf, []
+    squares, cross = np.empty(_SAMPLE_BLOCK), np.empty(_SAMPLE_BLOCK)
+    for start in range(0, samples, _SAMPLE_BLOCK):
+        block = slice(start, start + _SAMPLE_BLOCK)
+        if start + _SAMPLE_BLOCK > samples:  # a short last block
+            squares, cross = squares[:samples - start], cross[:samples - start]
+        # p cos^2 + 2 q cos sin + r sin^2, with sin^2 = 1 - cos^2 up to rounding.
+        np.multiply(cos2_t[block], p - r, out=squares)
+        np.multiply(cos_sin_t[block], 2.0 * q, out=cross)
+        squares += cross
+        squares += r
+        block_top = squares.max()
+        if block_top >= top * (1.0 - 1e-9):  # else no point here is near the maximum
+            near = np.flatnonzero(squares >= block_top * (1.0 - 1e-9))
+            kept.append((near + start, squares[near]))
+            top = max(top, block_top)
+    near, squares = (np.concatenate(parts) for parts in zip(*kept))
+    near = near[squares >= top * (1.0 - 1e-9)]
     cos_n, sin_n = cos_t[near], sin_t[near]
     return float(np.hypot(a * cos_n + b * sin_n, c * cos_n + d * sin_n).max())
 

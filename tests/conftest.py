@@ -17,6 +17,8 @@ own single-step orbit walk, and `egorov_defect_exact_mesh` from every mesh
 point's exact integer orbit; the classical samplers are a float walk mod 1.0
 and a 53-bit dyadic orbit, both read through `Partition.atom_index`, and a
 Python-integer dyadic orbit read through rational atom membership.
+`cs_probabilities_dense` builds the unaligned lattice word table by the
+dense recursion over every word, where the library carries sparse entries.
 `word_runs_scan_per_length` counts every word length of a set of walks by
 a full scan of the prefix array per length, where the library's counter
 filters run bounds or continuations from one scan on each side.
@@ -248,6 +250,33 @@ def orbit_atoms_step_walk(T, weights, length: int):
         yield weights.atom_of_cell[p1 * size + p2]
         if one is not None and k + 1 < length:
             p1, p2 = _step(one, p1, p2, size)
+
+
+def cs_probabilities_dense(T, weights, length: int) -> ProbabilityTable:
+    """Lattice word table of any cell weights by a dense recursion over all d**length words.
+
+    Every start point carries a row of d**k amplitudes; step k multiplies
+    it by the orbit cell's d weights (the new symbol at significance
+    d**k), and the cells step as coordinate arrays with the 2x2 step mod
+    N.  The rows are summed over start points in blocks of 2**22 // d**length
+    and the table keeps the words of positive mass.
+    """
+    size, d = weights.cfg.size, weights.atom_count
+    space = d**length
+    one = matrix_power_mod(T, 1, size) if T is not None else None
+    chunk = max(1, (1 << 22) // space)
+    acc = np.zeros(space)
+    all_p1, all_p2 = np.divmod(np.arange(size * size, dtype=np.int64), size)
+    for start in range(0, size * size, chunk):
+        p1, p2 = all_p1[start:start + chunk], all_p2[start:start + chunk]
+        amp = np.ones((p1.size, 1))
+        for k in range(length):
+            w = weights.weight_products(p1, p2)
+            amp = (w[:, :, None] * amp[:, None, :]).reshape(p1.size, d ** (k + 1))
+            if one is not None and k + 1 < length:
+                p1, p2 = _step(one, p1, p2, size)
+        acc += amp.sum(axis=0)
+    return ProbabilityTable.from_probs(np.arange(space), acc / (size * size), length, d)
 
 
 def word_runs_scan_per_length(chunks, alphabet: int):

@@ -612,11 +612,12 @@ COSTS = {
     "samples": (["100", "1000"], ["-1", "0", "1", "2"]),
     "trials": (["10", "100"], ["-1", "0", "1", "2"]),
     "steps-max": (["0", "3", "10"], ["-1", "1", "40"]),
-    "n-max": (["1", "4", "12"], ["-1", "0", "2", "31", "32", "62", "63", "64"]),
+    "n-max": (["1", "4", "12"], ["-1", "0", "2", "31", "32", "62", "63", "64", "2147483648"]),
     "grid-factor": (["1", "2"], ["-1", "0", "8"]),
     "quadrature": (["1", "4"], ["-1", "0", "8"]),
-    # localize's shadowing check steps every orbit, one step at a time
-    "localize --steps": (["1", "3"], ["-1", "0", "2", "60", "1000"]),
+    # localize's shadowing check steps every orbit, one step at a time (an
+    # elliptic map at most its order less one)
+    "localize --steps": (["1", "3"], ["-1", "0", "2", "60", "1000", "2147483648"]),
 }
 COSTS["sizes"] = COSTS["size"]
 MATRICES = (
@@ -724,6 +725,12 @@ def _check_output(text):
 # A size given twice once fitted a line through one log(size), with a RankWarning.
 @example(["entropy", "--identity-dynamics", "--sizes", "2", "3", "3", "--n-max", "1",
           "--samples", "100", "--seed", "1", "--output", "{work}/output.out"])
+# An elliptic map meets the tracking threshold at any step count.
+@example(["localize", "--matrix", "0", "1", "-1", "0", "--size", "64", "--steps", "2147483648",
+          "--check", "shadowing", "--trials", "1", "--seed", "1"])
+# One atom is a symbol of one bit in the word budget, though it packs none.
+@example(["entropy", "--mode", "components", "--identity-dynamics", "--partition", "bands-x2:1",
+          "--sizes", "4", "--n-max", "2147483648", "--output", "{work}/output.out"])
 def test_cli_contract_over_every_option(argv):
     """Any argv exits 0, 2 or 3, with no traceback; a failed run writes nothing.
 

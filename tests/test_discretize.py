@@ -1,5 +1,6 @@
 """Cell-average coarse-graining, kernels, defects, and tracking guarantees."""
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from torusdyn.discretize import (
     shadowing_threshold,
 )
 from torusdyn.lattice import LatticeConfig, orbit_period, round_coordinates, torus_distance_arrays
-from torusdyn.maps import ToralMatrix, cat_map, classify, matrix_power_entries
+from torusdyn.maps import ToralMatrix, cat_map, classify, diameter_bruteforce, matrix_power_entries
 from torusdyn.rectangles import (
     TorusRectangle,
     arc_pieces,
@@ -28,6 +29,7 @@ from torusdyn.rectangles import (
 )
 
 from conftest import (
+    ReplayedDraws,
     cell_interval_pieces,
     clip_polygon_to_box,
     egorov_defect_exact_mesh,
@@ -407,7 +409,8 @@ def test_localization_far_test_uses_the_exact_image(steps, tested):
     assert int(far.sum()) == tested
 
 
-@pytest.mark.parametrize("T, size, steps", [(CAT, 10_000, 3), (SHEAR, 1_000, 10)])
+@pytest.mark.parametrize("T, size, steps", [(CAT, 10_000, 3), (SHEAR, 1_000, 10),
+                                            (ToralMatrix(1, 1, -1, 0), 64, 13)])
 def test_shadowing_walks_the_exact_orbit(T, size, steps):
     rep = check_orbit_shadowing(T, LatticeConfig(size), steps, 5_000, seed=5)
     xs = np.random.default_rng(5).random((5_000, 2))
@@ -424,6 +427,67 @@ def test_shadowing_walks_the_exact_orbit(T, size, steps):
         x, q = np.array(a) / top, np.array(p) / size
         worst = max(worst, float(torus_distance_arrays(x[:, 0], x[:, 1], q[:, 0], q[:, 1]).max()))
     assert rep.max_distance == worst
+
+
+def _largest_bytecode_allocation(fn) -> int:
+    """The most memory traced above what was live before any one bytecode of `fn()`.
+
+    A temporary array is made by one bytecode (an operator or a numpy call)
+    and freed by a later one, so the figure is at least the largest
+    temporary, with the buffers numpy holds beside it.
+    """
+    largest, last = 0, 0
+
+    def trace(frame, event, arg):
+        nonlocal largest, last
+        frame.f_trace_opcodes = True
+        current, peak = tracemalloc.get_traced_memory()
+        largest = max(largest, peak - last)
+        tracemalloc.reset_peak()
+        last = current
+        return trace
+
+    tracemalloc.start()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    return largest
+
+
+# glibc's default mmap threshold: a larger block is mapped afresh and faults
+# its pages in on every call.
+MMAP_THRESHOLD = 128 * 1024
+
+
+@pytest.mark.parametrize("check", ["localization", "shadowing", "diameter"])
+def test_checks_allocate_no_temporary_past_the_mmap_threshold(check, monkeypatch):
+    trials = 20_000
+    xs, ys = np.random.default_rng(1).random((2, trials, 2))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ReplayedDraws(xs, ys))
+    run = {
+        "localization": lambda: check_dynamical_localization(
+            CAT, LatticeConfig(500), 3, 2.0, 0.1, trials, seed=1),
+        "shadowing": lambda: check_orbit_shadowing(CAT, LatticeConfig(10_000), 3, trials, seed=1),
+        "diameter": lambda: diameter_bruteforce(CAT, 5, 100_000),
+    }[check]
+    run()  # builds the diameter check's cached angular grid
+    assert _largest_bytecode_allocation(run) < MMAP_THRESHOLD
+    # The probe sees a whole-array temporary: the same ops on all the draws.
+    assert _largest_bytecode_allocation(lambda: torus_distance_arrays(*xs.T, *ys.T)) > 8 * trials
+
+
+@pytest.mark.parametrize("T", [ROT, ToralMatrix(1, 1, -1, 0)])
+def test_elliptic_shadowing_tracks_one_period(T):
+    # T**o = I for the order o, so the distances repeat after o - 1 steps.
+    order = classify(T).period
+    short = check_orbit_shadowing(T, LatticeConfig(64), order - 1, 1_000, seed=2).as_dict()
+    long = check_orbit_shadowing(T, LatticeConfig(64), 1 << 31, 1_000, seed=2).as_dict()
+    assert long.pop("steps") == 1 << 31
+    short.pop("steps")
+    assert long == short
 
 
 def test_shadowing_within_bound():

@@ -47,6 +47,7 @@ from conftest import (
     cell_weights_fraction_oracle,
     classical_atom_matrix_float,
     classical_probabilities_mc,
+    cs_probabilities_dense,
     exact_refinement_probabilities,
     is_aligned,
     lattice_word_sampler_mc,
@@ -174,7 +175,7 @@ def test_full_span_arc_start_is_no_boundary():
     assert snapped == bands and shift == 0.0
     one_pass = cs_entropies(CAT, cfg, bands, 7)
     assert one_pass == [cs_entropy(CAT, cfg, bands, n) for n in range(1, 8)]
-    assert cs_probabilities(CAT, cfg, bands, 7).is_exact  # past the unaligned cap
+    assert cs_probabilities(CAT, cfg, bands, 7).is_exact  # counted, not weighted
 
 
 def test_snap_ties_move_upward():
@@ -375,7 +376,7 @@ def test_aligned_and_weighted_paths_agree():
 
 
 class CellWeightTableNoAlign:
-    """Wrapper that hides alignment, forcing the dense product recursion."""
+    """Wrapper that hides alignment, forcing the weighted (unaligned) counter."""
 
     def __init__(self, inner):
         self.cfg = inner.cfg
@@ -388,9 +389,21 @@ class CellWeightTableNoAlign:
 
 
 def test_unaligned_refused_past_cap():
+    # Quadrants at N = 8, L = 7 take 66 112 entries, once refused as 4**7
+    # words; a capacity of 10 000 refuses the sixth step's 16 768 entries.
     cfg = LatticeConfig(8)
+    quadrants = partition_quadrants()
+    tbl = cs_probabilities(CAT, cfg, quadrants, 7)
+    dense = cs_probabilities_dense(CAT, cell_weights(quadrants, cfg), 7)
+    assert float(tbl.probs.sum()) == pytest.approx(float(dense.probs.sum()), abs=1e-12)
+    for k in range(7):
+        marginals = [np.bincount(t.codes // 4**k % 4, weights=t.probs, minlength=4)
+                     for t in (tbl, dense)]
+        np.testing.assert_allclose(*marginals, rtol=0, atol=1e-12)
+    with pytest.raises(CapacityExceededError, match="6 steps take 16768 entries"):
+        cs_probabilities(CAT, cfg, quadrants, 7, capacity=10_000)
     with pytest.raises(AlignmentRequiredError):
-        cs_probabilities(CAT, cfg, partition_quadrants(), 7)  # 4**7 > 4096
+        cs_entropies(CAT, cfg, quadrants, 7)
 
 
 def test_unaligned_small_words_allowed():

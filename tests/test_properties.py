@@ -1,7 +1,8 @@
 """Properties of the shared lattice step, matrix powers, the kernel, orbit
 periods, the permutation table and the orbit walk on it, cell overlaps and
-alignment, partition snapping, word counter, tables and exact entropy, the
-dyadic classical sampler and Egorov defect.
+alignment, partition snapping, word counter, the weighted counter of
+unaligned partitions against the dense recursion, tables and exact entropy,
+the dyadic classical sampler and Egorov defect.
 
 Random unimodular matrices with entries in [-5, 5] are checked against
 Python-integer, coordinate-walk, cycle-walk and exact-mesh oracles, and
@@ -32,6 +33,7 @@ from torusdyn.entropy import (
     cell_weights,
     cs_entropies,
     cs_entropy,
+    cs_probabilities,
     partition_bands_x2,
     partition_halves_x1,
     partition_halves_x2,
@@ -57,6 +59,7 @@ from conftest import (
     cell_weights_fraction_oracle,
     classical_atom_matrix_53bit,
     classical_atoms_python_int,
+    cs_probabilities_dense,
     egorov_defect_exact_mesh,
     entropy_of_fractions,
     is_aligned,
@@ -572,6 +575,40 @@ def test_word_counter_equals_a_scan_per_length(T, d, size, length, walks, block)
         assert words.entropy.hex() == want.entropy.hex(), n
         for name in ("bounds", "codes", "counts"):
             assert np.array_equal(getattr(words, name), getattr(want, name)), (n, name)
+
+
+# --- the weighted counter of unaligned partitions --------------------------------
+
+# The presets, and thirds and fifths on both axes: edges no lattice meets dyadically.
+WEIGHTED = ["quadrants", "halves-x1", "halves-x2", "bands-x2:3", "bands-x2:4", "bands-x2:5",
+            "rects:0,1/3,0,1;1/3,2/3,0,2/5;1/3,2/3,2/5,3/5"]
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(st.none(), matrices),
+    st.integers(2, 40),
+    st.sampled_from(WEIGHTED),
+    st.integers(1, 5),
+)
+@example(cat_map(), 40, "bands-x2:5", 5)  # the oracle sums its start points in two blocks
+@example(None, 32, "quadrants", 5)  # the 2-torsion points weigh 1/4 in every quadrant
+def test_weighted_words_equal_the_dense_recursion(T, size, spec, length):
+    """Unaligned `cs_probabilities` against the dense recursion over every word:
+    the same codes, and the same probabilities bit for bit when every cell
+    weight is a multiple of 1/256 (every sum is then exact), else within a
+    relative 1e-15."""
+    partition = parse_partition(spec)
+    cfg = LatticeConfig(size)
+    weights = cell_weights(partition, cfg)
+    assume(not weights.aligned)
+    table = cs_probabilities(T, cfg, partition, length)
+    dense = cs_probabilities_dense(T, weights, length)
+    assert np.array_equal(table.codes, dense.codes)
+    if all(np.all(v * 256 == np.round(v * 256)) for v in (weights.x_weights, weights.y_weights)):
+        assert table.probs.tobytes() == dense.probs.tobytes()
+    else:
+        np.testing.assert_allclose(table.probs, dense.probs, rtol=1e-15, atol=0)
 
 
 # --- exact entropy and the dyadic classical sampler ------------------------------
