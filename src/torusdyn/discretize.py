@@ -27,14 +27,13 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .lattice import LatticeConfig, matrix_power_mod, round_coordinates, torus_distance_arrays
+from .lattice import LatticeConfig, _torus_offsets, matrix_power_mod, round_coordinates
 from .maps import (
     Family,
     SpectralData,
     ToralMatrix,
     classify,
     scaling_function,
-    _SAMPLE_BLOCK,
     _check_form_factor,
     _step,
 )
@@ -60,10 +59,23 @@ __all__ = [
 # accumulation order (and hence output bytes) reproducible.
 _MESH_BLOCK = 1 << 16
 
+# Entries per block of the Monte Carlo checks: 32 KiB a float array, so no
+# temporary reaches glibc's default 128 KiB mmap threshold and the checks
+# run in heap memory that is already mapped.
+_SAMPLE_BLOCK = 1 << 12
+
 
 # Drawn points are multiples of 2**-53: their numerators a = x * 2**53 as
 # uint64 arrays step exactly mod _DYADIC.
 _DYADIC = 1 << 53
+
+# The sampled checks decide on squared distances d1**2 + d2**2, within
+# 3 ulp of the exact square, where `np.hypot` is within 1 ulp of the root,
+# so a relative slack of 1e-12 is about 10**4 times what rounding can move.
+# That bound fails in the subnormals, so smaller squares than the normal
+# _NORMAL_SQUARE are left to `hypot`.
+_SQUARE_SLACK = 1e-12
+_NORMAL_SQUARE = 2.0**-900
 
 
 class ThresholdUnmetError(ValueError):
@@ -401,6 +413,12 @@ def check_dynamical_localization(
     localization.  T**n x is exact: T**n mod 2**53 applied to the 53-bit
     numerators of the drawn x.  Deterministic for a fixed seed.  The pairs
     are drawn at once and checked in blocks of `_SAMPLE_BLOCK`.
+
+    A pair is far exactly when its `torus_distance_arrays` value is at
+    least d0.  The squared distance decides that alone outside a relative
+    band of `_SQUARE_SLACK` around d0**2, by strict comparisons, and
+    `np.hypot` decides inside the band.  Below `_NORMAL_SQUARE` (d0**2
+    underflows to 0 at d0 = 1e-170) the band is [0, _NORMAL_SQUARE].
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -411,12 +429,24 @@ def check_dynamical_localization(
     xs = rng.random((trials, 2))
     ys = rng.random((trials, 2))
     leap = matrix_power_mod(T, steps, _DYADIC)
+    # A square above `high` is far and one below `low` is not; `hypot` decides between.
+    d0_squared = d0 * d0
+    if d0_squared < _NORMAL_SQUARE:
+        low, high = 0.0, _NORMAL_SQUARE
+    else:
+        low, high = d0_squared * (1.0 - _SQUARE_SLACK), d0_squared * (1.0 + _SQUARE_SLACK)
     tested = violations = 0
     for start in range(0, trials, _SAMPLE_BLOCK):
         x, y = xs[start:start + _SAMPLE_BLOCK], ys[start:start + _SAMPLE_BLOCK]
         a1, a2 = np.ascontiguousarray((x * 2.0**53).astype(np.uint64).T)
         tx1, tx2 = _step(leap, a1, a2, _DYADIC)
-        far = torus_distance_arrays(tx1 / _DYADIC, tx2 / _DYADIC, y[:, 0], y[:, 1]) >= d0
+        d1, d2 = _torus_offsets(tx1 / _DYADIC, tx2 / _DYADIC, y[:, 0], y[:, 1])
+        squares = d1 * d1
+        squares += d2 * d2
+        far = squares > high
+        band = np.flatnonzero(~far & (squares >= low))
+        if band.size:
+            far[band] = np.hypot(d1[band], d2[band]) >= d0
         hits = kernel_many(T, cfg, steps, x[:, 0], x[:, 1], y[:, 0], y[:, 1]) == 1
         tested += int(far.sum())
         violations += int(np.count_nonzero(hits & far))
@@ -484,6 +514,14 @@ def check_orbit_shadowing(
     once and tracked in blocks of `_SAMPLE_BLOCK`; an elliptic map is
     tracked for at most its order less one steps, which repeat every later
     distance.
+
+    `max_distance` is the largest `torus_distance_arrays` value, bit for
+    bit.  Per block and step, `np.hypot` is taken only at entries whose
+    square is within a relative `_SQUARE_SLACK` of the block's largest, and
+    only when that largest is within `_SQUARE_SLACK` of the largest square
+    so far; the entry with the largest `hypot` passes both.  An offset is
+    a multiple of 2**-53 less a lattice coordinate p/N >= 2**-63, so it is
+    0 or at least 2**-116, and no square is subnormal.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -505,7 +543,7 @@ def check_orbit_shadowing(
     xs = rng.random((trials, 2))
     one = matrix_power_mod(T, 1, size)
     one_dyadic = matrix_power_mod(T, 1, _DYADIC)
-    max_distance = 0.0
+    max_distance, top = 0.0, 0.0
     for start in range(0, trials, _SAMPLE_BLOCK):
         x = xs[start:start + _SAMPLE_BLOCK]
         a1, a2 = np.ascontiguousarray((x * 2.0**53).astype(np.uint64).T)
@@ -515,8 +553,14 @@ def check_orbit_shadowing(
             if k:
                 a1, a2 = _step(one_dyadic, a1, a2, _DYADIC)
                 p1, p2 = _step(one, p1, p2, size)
-            dist = torus_distance_arrays(a1 / _DYADIC, a2 / _DYADIC, p1 / size, p2 / size)
-            max_distance = max(max_distance, float(dist.max()))
+            d1, d2 = _torus_offsets(a1 / _DYADIC, a2 / _DYADIC, p1 / size, p2 / size)
+            squares = d1 * d1
+            squares += d2 * d2
+            block_top = float(squares.max())
+            if block_top >= top * (1.0 - _SQUARE_SLACK):  # else no entry here can be the largest
+                near = np.flatnonzero(squares >= block_top * (1.0 - _SQUARE_SLACK))
+                max_distance = max(max_distance, float(np.hypot(d1[near], d2[near]).max()))
+                top = max(top, block_top)
     return ShadowingReport(
         matrix=T.entries,
         family=data.family.value,

@@ -116,12 +116,16 @@ def _step(m, x1, x2, modulus=None, out=None):
     N, dyadic numerators mod 2**k, and (with no modulus) exact matrix
     products.
     Python integers are exact at any size.  Integer arrays must hold values
-    in [0, modulus).  Unsigned arrays with a power-of-two modulus within
-    their range (and m in [0, modulus)) wrap, exactly mod 2**k, and are
-    masked, in place into `out` when given two arrays apart from x1 and x2;
-    otherwise, when the largest possible row sum
-    max(|m0| + |m1|, |m2| + |m3|) * (modulus - 1) would pass the dtype's
-    range the step raises OverflowError instead of wrapping silently.
+    in [0, modulus), or in (-modulus, modulus) when signed.  Unsigned
+    arrays with a power-of-two modulus within their range (and m in
+    [0, modulus)) wrap, exactly mod 2**k, and are masked, in place into
+    `out` when given two arrays apart from x1 and x2; otherwise, when the
+    largest possible row sum max(|m0| + |m1|, |m2| + |m3|) * (modulus - 1)
+    would pass the dtype's range the step raises OverflowError instead of
+    wrapping silently.  Other numpy operands reduce as y - (y // modulus)
+    * modulus: floor division makes that y % modulus at every sign, at half
+    the cost, since numpy divides an array by a scalar without a hardware
+    division per element.
     Private, so that bench/tracer.py, which times every public function as
     its own layer, keeps this arithmetic in the caller's layer.
     """
@@ -145,9 +149,12 @@ def _step(m, x1, x2, modulus=None, out=None):
             raise OverflowError(
                 f"lattice step mod {modulus} could reach {reach}, beyond {dtype} arrays"
             )
+    y1, y2 = m[0] * x1 + m[1] * x2, m[2] * x1 + m[3] * x2
     if modulus is None:
-        return m[0] * x1 + m[1] * x2, m[2] * x1 + m[3] * x2
-    return (m[0] * x1 + m[1] * x2) % modulus, (m[2] * x1 + m[3] * x2) % modulus
+        return y1, y2
+    if numpy_operand:
+        return y1 - y1 // modulus * modulus, y2 - y2 // modulus * modulus
+    return y1 % modulus, y2 % modulus
 
 
 def _mat_mul(a, b, modulus=None) -> tuple[int, int, int, int]:
@@ -359,24 +366,16 @@ def diameter_formula(data: SpectralData, n: int) -> float:
     return diameter
 
 
-# Entries per block of the grid and Monte Carlo checks: 32 KiB a float
-# array, so no temporary reaches glibc's default 128 KiB mmap threshold and
-# the checks run in heap memory that is already mapped.
-_SAMPLE_BLOCK = 1 << 12
-
-
 @functools.lru_cache(maxsize=1)
-def _unit_circle(samples: int) -> tuple[np.ndarray, ...]:
-    """Read-only cos, sin, cos**2 and cos*sin of the angles 2 pi k / samples,
-    k = 0..samples-1, and the largest `np.hypot` of a (cos, sin) pair: the
-    grid's own radius."""
+def _unit_circle(samples: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Read-only cos and sin of the angles 2 pi k / samples, k = 0..samples-1,
+    and the largest `np.hypot` of a (cos, sin) pair: the grid's own radius."""
     theta = 2.0 * math.pi * np.arange(samples) / samples
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
-    grid = (cos_t, sin_t, cos_t * cos_t, cos_t * sin_t)
-    for column in grid:
+    for column in (cos_t, sin_t):
         column.flags.writeable = False
-    return (*grid, float(np.hypot(cos_t, sin_t).max()))
+    return cos_t, sin_t, float(np.hypot(cos_t, sin_t).max())
 
 
 def diameter_bruteforce(T: ToralMatrix, n: int, samples: int) -> float:
@@ -390,50 +389,44 @@ def diameter_bruteforce(T: ToralMatrix, n: int, samples: int) -> float:
     the entries stay below 2**53.
 
     The result is the largest `np.hypot(a cos + b sin, c cos + d sin)` over
-    the grid, bit for bit, found without taking `hypot` at every point.
-    The grid (cos, sin, cos**2, cos*sin and its own radius) is built once
-    per sample count.
+    the grid, bit for bit, with `hypot` taken at a few grid points only.
+    The grid (cos, sin and its own radius) is built once per sample count.
     When T**n is plus or minus the identity or a quarter turn, the two
     components are the grid's cos and sin up to sign and order, which
-    `hypot` ignores, so the result is the grid's radius.  Otherwise the
-    search runs on the squared norm |T**n v|^2, evaluated as the quadratic
-    form of (T**n)' T**n after scaling T**n by the power of two that brings
-    its largest entry into [1/2, 1), so no square overflows.  `hypot` is
-    then taken only where that square is within a relative 1e-9 of the
-    largest.  Rounding moves each square by about 1e-15 of the largest, so
-    the grid point with the largest `hypot` always lies in that set.  The
-    squares are taken in blocks of `_SAMPLE_BLOCK` grid points.  A block
-    whose largest square is within 1e-9 of the largest so far keeps its
-    points within 1e-9 of its own largest, which holds its share of that
-    set; the overall largest then filters them.
+    `hypot` ignores, so the result is the grid's radius.  Otherwise, with
+    T**n scaled by the power of two that brings its largest entry into
+    [1/2, 1) so no square overflows, and p, q, r the entries of
+    (T**n)' T**n, the squared norm is S(theta) = (p + r)/2 +
+    rho cos 2(theta - phi), rho = hypot((p - r)/2, q), phi =
+    atan2(q, (p - r)/2) / 2.  S is within a relative 1e-9 of its peak only
+    where |sin(theta - phi)| <= sqrt(1e-9 peak / (2 rho)).  T**n is an
+    integer matrix with det 1 and not orthogonal, so its squared Frobenius
+    norm is an integer >= 3, and rho / peak > 0.42, which the scaling
+    keeps, bounds that window below 3.5e-5 radians.  S falls monotonically
+    away from phi and phi + pi, and rounding moves it by about 1e-15 of the
+    peak, so the grid point with the largest `hypot` is a grid neighbour of
+    a peak or lies in its window.  `hypot` is taken in both windows and 3
+    grid steps beyond each side, which covers a coarse grid's neighbours
+    and the rounding of phi.
     """
     if samples < 64:
         raise ValueError(f"need at least 64 samples, got {samples}")
     a, b, c, d = (float(v) for v in matrix_power_entries(T, n))
-    cos_t, sin_t, cos2_t, cos_sin_t, radius = _unit_circle(samples)
+    cos_t, sin_t, radius = _unit_circle(samples)
     if b == c == 0.0 or a == d == 0.0:  # det 1 then forces +-I or a quarter turn
         return radius
     shift = -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
     a2, b2, c2, d2 = (math.ldexp(v, shift) for v in (a, b, c, d))
     p, q, r = a2 * a2 + c2 * c2, a2 * b2 + c2 * d2, b2 * b2 + d2 * d2
-    top, kept = -math.inf, []
-    squares, cross = np.empty(_SAMPLE_BLOCK), np.empty(_SAMPLE_BLOCK)
-    for start in range(0, samples, _SAMPLE_BLOCK):
-        block = slice(start, start + _SAMPLE_BLOCK)
-        if start + _SAMPLE_BLOCK > samples:  # a short last block
-            squares, cross = squares[:samples - start], cross[:samples - start]
-        # p cos^2 + 2 q cos sin + r sin^2, with sin^2 = 1 - cos^2 up to rounding.
-        np.multiply(cos2_t[block], p - r, out=squares)
-        np.multiply(cos_sin_t[block], 2.0 * q, out=cross)
-        squares += cross
-        squares += r
-        block_top = squares.max()
-        if block_top >= top * (1.0 - 1e-9):  # else no point here is near the maximum
-            near = np.flatnonzero(squares >= block_top * (1.0 - 1e-9))
-            kept.append((near + start, squares[near]))
-            top = max(top, block_top)
-    near, squares = (np.concatenate(parts) for parts in zip(*kept))
-    near = near[squares >= top * (1.0 - 1e-9)]
+    rho = math.hypot((p - r) / 2.0, q)
+    phi = math.atan2(q, (p - r) / 2.0) / 2.0
+    half_width = math.asin(math.sqrt(1e-9 * ((p + r) / 2.0 + rho) / (2.0 * rho)))
+    step = 2.0 * math.pi / samples
+    near = np.concatenate([
+        np.arange(math.floor((peak - half_width) / step) - 3,
+                  math.ceil((peak + half_width) / step) + 4)
+        for peak in (phi, phi + math.pi)
+    ]) % samples
     cos_n, sin_n = cos_t[near], sin_t[near]
     return float(np.hypot(a * cos_n + b * sin_n, c * cos_n + d * sin_n).max())
 

@@ -30,7 +30,9 @@ boxes (`clip_polygon_halfplane`, `clip_polygon_to_box`) and the shoelace
 `polygon_area`, all in `Fraction` arithmetic.  `classical_probabilities_mc`
 is a Monte Carlo word table at one length, from the 53-bit sampler and the
 library's histogram.  `diameter_bruteforce_full_grid` takes
-`np.hypot` at every point of a freshly built angular grid.
+`np.hypot` at every point of a freshly built angular grid, and
+`diameter_block_scan` searches the whole grid's squared norms block by
+block, where the library reads the peak's angle in closed form.
 """
 from __future__ import annotations
 
@@ -518,6 +520,44 @@ def diameter_bruteforce_full_grid(T: ToralMatrix, n: int, samples: int) -> float
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
     return float(np.hypot(a * cos_t + b * sin_t, c * cos_t + d * sin_t).max())
+
+
+def diameter_block_scan(T: ToralMatrix, n: int, samples: int) -> float:
+    """Largest `np.hypot` of T**n v over the grid, searched on squared norms.
+
+    The squared norm is evaluated at every grid point as the quadratic form
+    of (T**n)' T**n, after scaling T**n by the power of two that brings its
+    largest entry into [1/2, 1), in blocks of 4096 points.
+    `hypot` is taken where a square is within 1e-9 of the largest: a block
+    whose largest square is within 1e-9 of the largest so far keeps its
+    points within 1e-9 of its own largest, and the overall largest filters
+    them.  Plus or minus the identity and quarter turns give the grid's
+    own radius.
+    """
+    a, b, c, d = (float(v) for v in matrix_power_entries(T, n))
+    theta = 2.0 * math.pi * np.arange(samples) / samples
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    if b == c == 0.0 or a == d == 0.0:
+        return float(np.hypot(cos_t, sin_t).max())
+    cos2_t, cos_sin_t = cos_t * cos_t, cos_t * sin_t
+    shift = -math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    a2, b2, c2, d2 = (math.ldexp(v, shift) for v in (a, b, c, d))
+    p, q, r = a2 * a2 + c2 * c2, a2 * b2 + c2 * d2, b2 * b2 + d2 * d2
+    top, kept = -math.inf, []
+    for start in range(0, samples, 4096):
+        block = slice(start, start + 4096)
+        # p cos^2 + 2 q cos sin + r sin^2, with sin^2 = 1 - cos^2 up to rounding.
+        squares = cos2_t[block] * (p - r) + cos_sin_t[block] * (2.0 * q) + r
+        block_top = squares.max()
+        if block_top >= top * (1.0 - 1e-9):
+            near = np.flatnonzero(squares >= block_top * (1.0 - 1e-9))
+            kept.append((near + start, squares[near]))
+            top = max(top, block_top)
+    near, squares = (np.concatenate(parts) for parts in zip(*kept))
+    near = near[squares >= top * (1.0 - 1e-9)]
+    cos_n, sin_n = cos_t[near], sin_t[near]
+    return float(np.hypot(a * cos_n + b * sin_n, c * cos_n + d * sin_n).max())
 
 
 Point = tuple[Fraction, Fraction]

@@ -159,6 +159,26 @@ def test_localize_shadowing_coarse_lattice_fails_validation(capsys):
     assert code == EXIT_VALIDATION
 
 
+# --- golden outputs -----------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("localize_localization.json", "localize --matrix 2 1 1 1 --size 1000 --steps 4 --d0 0.05 "
+                                   "--trials 30000 --seed 11"),
+    ("localize_shadowing.json", "localize --matrix 1 1 0 1 --size 5000 --steps 20 "
+                                "--check shadowing --trials 30000 --seed 12"),
+    ("diameters_100000.csv", "diameters --matrix 3 2 1 1 --steps-max 14 --samples 100000"),
+])
+def test_stdout_equals_the_recorded_bytes(golden, argv, capsys):
+    # The checks decide on squared distances and the diameter search takes
+    # `hypot` at a few grid points; both must keep the recorded bytes of
+    # taking `hypot` everywhere.
+    assert run(argv.split()) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
+
+
 # --- egorov ----------------------------------------------------------------------
 
 

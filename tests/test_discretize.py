@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from torusdyn.discretize import (
+    _SAMPLE_BLOCK,
     DiagonalObservable,
     Observable,
     ThresholdUnmetError,
@@ -409,11 +410,8 @@ def test_localization_far_test_uses_the_exact_image(steps, tested):
     assert int(far.sum()) == tested
 
 
-@pytest.mark.parametrize("T, size, steps", [(CAT, 10_000, 3), (SHEAR, 1_000, 10),
-                                            (ToralMatrix(1, 1, -1, 0), 64, 13)])
-def test_shadowing_walks_the_exact_orbit(T, size, steps):
-    rep = check_orbit_shadowing(T, LatticeConfig(size), steps, 5_000, seed=5)
-    xs = np.random.default_rng(5).random((5_000, 2))
+def _shadowing_oracle(T, size, steps, xs) -> float:
+    """Largest `torus_distance_arrays` over all points and steps, orbits in Python integers."""
     top = 2**53
     a = [(int(u * top), int(v * top)) for u, v in xs.tolist()]
     p = list(zip(round_coordinates(xs[:, 0], size).tolist(),
@@ -426,7 +424,79 @@ def test_shadowing_walks_the_exact_orbit(T, size, steps):
             p = [((t11 * u + t12 * v) % size, (t21 * u + t22 * v) % size) for u, v in p]
         x, q = np.array(a) / top, np.array(p) / size
         worst = max(worst, float(torus_distance_arrays(x[:, 0], x[:, 1], q[:, 0], q[:, 1]).max()))
-    assert rep.max_distance == worst
+    return worst
+
+
+@pytest.mark.parametrize("T, size, steps", [(CAT, 10_000, 3), (SHEAR, 1_000, 10),
+                                            (ToralMatrix(1, 1, -1, 0), 64, 13)])
+def test_shadowing_walks_the_exact_orbit(T, size, steps):
+    rep = check_orbit_shadowing(T, LatticeConfig(size), steps, 5_000, seed=5)
+    xs = np.random.default_rng(5).random((5_000, 2))
+    assert rep.max_distance == _shadowing_oracle(T, size, steps, xs)
+
+
+def test_shadowing_maximum_tied_across_blocks(monkeypatch):
+    # The second block repeats the first, so every block's largest distance
+    # ties with the running largest when that block is reached.
+    block = _SAMPLE_BLOCK
+    xs = np.random.default_rng(6).random((2 * block + 50, 2))
+    xs[block:2 * block] = xs[:block]
+    xs[2 * block:] = xs[:50]
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ReplayedDraws(xs))
+    rep = check_orbit_shadowing(CAT, LatticeConfig(10_000), 3, len(xs), seed=1)
+    assert rep.max_distance == _shadowing_oracle(CAT, 10_000, 3, xs)
+    assert rep.max_ratio == rep.max_distance / rep.bound
+
+
+def _exact_images(T, steps, xs) -> np.ndarray:
+    """T**n x from the 53-bit numerators of the rows of xs, in Python integers."""
+    top = 2**53
+    m = matrix_power_entries(T, steps)
+    a = [(int(u * top), int(v * top)) for u, v in xs.tolist()]
+    return np.array([((m[0] * a1 + m[1] * a2) % top / top, (m[2] * a1 + m[3] * a2) % top / top)
+                     for a1, a2 in a])
+
+
+def _localization_oracle(T, cfg, steps, d0, xs, ys) -> tuple[int, int]:
+    """tested_pairs and violations, from `torus_distance_arrays` of exact images."""
+    t = _exact_images(T, steps, xs)
+    far = torus_distance_arrays(t[:, 0], t[:, 1], ys[:, 0], ys[:, 1]) >= d0
+    hits = kernel_many(T, cfg, steps, xs[:, 0], xs[:, 1], ys[:, 0], ys[:, 1]) == 1
+    return int(far.sum()), int(np.count_nonzero(far & hits))
+
+
+# Offsets from x = 0, whose image is 0 exactly: the distance 0 itself, and
+# distances whose squares are subnormal or underflow to 0.
+TINY_OFFSETS = [(0.0, 0.0), (1e-300, 0.0), (1e-170, 0.0), (1.5e-162, 0.0), (2e-162, 0.0),
+                (1e-160, 0.0), (1e-154, 0.0), (1.9e-162 / math.sqrt(2), 1.9e-162 / math.sqrt(2)),
+                (1.7e-162 / math.sqrt(2), 1.7e-162 / math.sqrt(2)), (1e-150, 1e-150)]
+
+
+@pytest.mark.parametrize("d0", ["pair", 1e-170, 1.8e-162, math.sqrt(2) / 2])
+def test_localization_decides_at_the_band_edges(d0, monkeypatch):
+    # "pair": d0 is one pair's distance, and two more pairs sit one ulp of y
+    # to either side of it.  1e-170: d0**2 underflows to 0.  1.8e-162: d0**2
+    # rounds to the least subnormal, while both squares of the offset
+    # 1.9e-162 / sqrt(2) underflow to 0.  sqrt(2)/2: pairs half a turn
+    # apart in both coordinates.  The crafted pairs sit in the second block.
+    T, cfg, steps, block = CAT, LatticeConfig(500), 3, _SAMPLE_BLOCK
+    xs, ys = np.random.default_rng(4).random((2, block + 500, 2))
+    tiny = slice(block, block + len(TINY_OFFSETS))
+    xs[tiny] = 0.0
+    ys[tiny] = TINY_OFFSETS
+    half_turn = slice(block + 100, block + 110)
+    ys[half_turn] = (_exact_images(T, steps, xs[half_turn]) + 0.5) % 1.0
+    pair = block + 200
+    xs[pair + 1:pair + 3] = xs[pair]
+    ys[pair + 1:pair + 3] = ys[pair]
+    ys[pair + 1, 0] = np.nextafter(ys[pair, 0], 0.0)
+    ys[pair + 2, 0] = np.nextafter(ys[pair, 0], 1.0)
+    if d0 == "pair":
+        (t,) = _exact_images(T, steps, xs[pair:pair + 1])
+        d0 = float(torus_distance_arrays(*t, *ys[pair]))
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: ReplayedDraws(xs, ys))
+    rep = check_dynamical_localization(T, cfg, steps, 2.0, d0, len(xs), seed=1)
+    assert (rep.tested_pairs, rep.violations) == _localization_oracle(T, cfg, steps, d0, xs, ys)
 
 
 def _largest_bytecode_allocation(fn) -> int:
@@ -471,9 +541,9 @@ def test_checks_allocate_no_temporary_past_the_mmap_threshold(check, monkeypatch
         "localization": lambda: check_dynamical_localization(
             CAT, LatticeConfig(500), 3, 2.0, 0.1, trials, seed=1),
         "shadowing": lambda: check_orbit_shadowing(CAT, LatticeConfig(10_000), 3, trials, seed=1),
-        "diameter": lambda: diameter_bruteforce(CAT, 5, 100_000),
+        "diameter": lambda: diameter_bruteforce(CAT, 5, 10**6),
     }[check]
-    run()  # builds the diameter check's cached angular grid
+    run()  # builds the diameter check's cached angular grid; no per-call temporary scales with it
     assert _largest_bytecode_allocation(run) < MMAP_THRESHOLD
     # The probe sees a whole-array temporary: the same ops on all the draws.
     assert _largest_bytecode_allocation(lambda: torus_distance_arrays(*xs.T, *ys.T)) > 8 * trials

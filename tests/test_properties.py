@@ -1,14 +1,18 @@
-"""Properties of the shared lattice step, matrix powers, the kernel, orbit
-periods, the permutation table and the orbit walk on it, cell overlaps and
-alignment, partition snapping, word counter, the weighted counter of
-unaligned partitions against the dense recursion, tables and exact entropy,
-the dyadic classical sampler and Egorov defect.
+"""Properties of the shared lattice step, matrix powers, the kernel, lattice
+rounding, image diameters, orbit periods, the permutation table and the
+orbit walk on it, cell overlaps and alignment, partition snapping, word
+counter, the weighted counter of unaligned partitions against the dense
+recursion, tables and exact entropy, the dyadic classical sampler and
+Egorov defect.
 
 Random unimodular matrices with entries in [-5, 5] are checked against
 Python-integer, coordinate-walk, cycle-walk and exact-mesh oracles, and
 random arcs against `Fraction` cell overlaps; the
 int64 overflow guard is checked at its boundary and through `kernel_many`
-and the CLI, and the unsigned power-of-two step against Python integers.
+and the CLI, and the unsigned power-of-two step and the signed step with
+negative entries and values against Python integers.  The closed-form
+diameter search is checked against a block scan of the whole grid, for
+matrices with entries in [-30, 30].
 """
 import functools
 import itertools
@@ -49,8 +53,9 @@ from torusdyn.lattice import (
     build_permutation,
     matrix_power_mod,
     orbit_period,
+    round_coordinates,
 )
-from torusdyn.maps import ToralMatrix, cat_map, matrix_power_entries, _step
+from torusdyn.maps import ToralMatrix, cat_map, diameter_bruteforce, matrix_power_entries, _step
 from torusdyn.rectangles import TorusRectangle, _axis_weights, arc_pieces, pieces_overlap
 
 from conftest import (
@@ -60,6 +65,7 @@ from conftest import (
     classical_atom_matrix_53bit,
     classical_atoms_python_int,
     cs_probabilities_dense,
+    diameter_block_scan,
     egorov_defect_exact_mesh,
     entropy_of_fractions,
     is_aligned,
@@ -105,6 +111,28 @@ def test_powers_compose_through_step(T, size, a, b, data):
     assert _step(ua, *_step(ub, *p, size), size) == _step(uab, *p, size)
     exact = matrix_power_entries(T, a + b)
     assert uab == tuple(v % size for v in exact)
+
+
+@given(st.integers(2, 1 << 56), st.tuples(*[st.integers(-60, 60)] * 4), st.data())
+def test_step_on_signed_arrays_equals_the_python_remainder(size, m, data):
+    # Negative entries and values: y - (y // N) N is Python's y % N at every sign.
+    value = st.integers(1 - size, size - 1)
+    points = data.draw(st.lists(st.tuples(value, value), min_size=1, max_size=20))
+    p1, p2 = (np.array(column, dtype=np.int64) for column in zip(*points))
+    q1, q2 = _step(m, p1, p2, size)
+    for (a, b), u, v in zip(points, q1.tolist(), q2.tolist()):
+        assert (u, v) == ((m[0] * a + m[1] * b) % size, (m[2] * a + m[3] * b) % size)
+
+
+@given(st.integers(2, 1 << 40), st.data())
+def test_round_coordinates_at_the_edges_equals_the_remainder(size, data):
+    # x = 0, the last float below 1, and a cell edge or centre k/(2N) with its
+    # two float neighbours, against floor(N x + 1/2) % N.
+    half = data.draw(st.integers(0, 2 * size - 1)) / (2 * size)
+    xs = np.array([x for x in (0.0, 1.0 - 2.0**-53, np.nextafter(half, 0.0), half,
+                               np.nextafter(half, 1.0)) if 0.0 <= x < 1.0])
+    want = np.floor(xs * size + 0.5).astype(np.int64) % size
+    assert round_coordinates(xs, size).tolist() == want.tolist()
 
 
 def test_step_overflow_guard_boundary():
@@ -207,6 +235,28 @@ def test_localize_beyond_int64_is_validation_error(capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("OverflowError:")
     assert "Traceback" not in captured.err
+
+
+# --- image diameters ------------------------------------------------------------
+
+
+def _unimodular_within(bound: int) -> list[ToralMatrix]:
+    """Every det-1 matrix with entries in [-bound, bound] but plus or minus the identity."""
+    a, b, c = np.meshgrid(*[np.arange(-bound, bound + 1)] * 3, indexing="ij")
+    a, b, c = a[a != 0], b[a != 0], c[a != 0]
+    d, rest = np.divmod(1 + b * c, a)
+    keep = (rest == 0) & (np.abs(d) <= bound) & ~((b == 0) & (c == 0))
+    return [ToralMatrix(*map(int, m)) for m in zip(a[keep], b[keep], c[keep], d[keep])]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(_unimodular_within(30)), st.integers(0, 40), st.integers(64, 1 << 14))
+@example(cat_map(), 40, 64)
+@example(ToralMatrix(0, -1, 1, 0), 3, 65)  # a quarter turn
+@example(ToralMatrix(1, 1, -1, 0), 6, 4097)  # T**6 = I
+@example(ToralMatrix(29, 30, 28, 29), 40, 1 << 14)  # entries near 1e73
+def test_diameter_search_equals_the_block_scan(T, n, samples):
+    assert diameter_bruteforce(T, n, samples) == diameter_block_scan(T, n, samples)
 
 
 # --- orbit periods ---------------------------------------------------------------
